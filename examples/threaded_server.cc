@@ -37,10 +37,11 @@
 // a background sampler recording active-transaction gauges;
 // --metrics-linger-ms keeps the endpoint up that long after the last
 // level finishes so an external scraper can collect the final state.
-// --certify streams every trace probe through an online bound certifier
-// (obs/stream_audit.h) for the whole run — one certifier, one wall-clock
-// epoch, across all three epsilon levels — and publishes the live
-// watermark as the esr_certified_through_seconds /
+// --certify streams the bound-walk, wait and commit/abort probes through
+// an online bound certifier (obs/stream_audit.h) for the whole run — one
+// certifier, one wall-clock epoch, across all three epsilon levels —
+// without capturing a trace (--trace still captures the last level), and
+// publishes the live watermark as the esr_certified_through_seconds /
 // esr_certification_lag_windows gauges on /metrics; the process exits 2
 // if any bound violation is certified.
 // --profile turns on the wall-clock profiler (obs/profile.h) for the
@@ -342,7 +343,6 @@ int main(int argc, char** argv) {
   // levels and a /metrics scraper can watch it move live.
   std::unique_ptr<esr::StreamCertifier> certifier;
   std::optional<esr::ScopedTraceObserver> certify_observer;
-  bool certify_enabled_trace = false;
   if (certify) {
 #ifndef ESR_TRACE_DISABLED
     esr::StreamCertifierOptions certifier_options;
@@ -351,13 +351,10 @@ int main(int argc, char** argv) {
     certifier_options.source = "threaded_server";
     certifier_options.emit_trace_events = true;
     certifier = std::make_unique<esr::StreamCertifier>(certifier_options);
-    if (!esr::GlobalTrace().enabled()) {
-      esr::GlobalTrace().Reset();
-      esr::GlobalTrace().set_enabled(true);
-      certify_enabled_trace = true;
-    }
+    // Observing does not capture: only --trace fills the ring.
     certify_observer.emplace(&esr::StreamCertifier::ObserveTrampoline,
-                             certifier.get());
+                             certifier.get(),
+                             esr::StreamCertifier::kObservedKinds);
     std::fprintf(stderr,
                  "streaming certification on: 1s wall-clock windows\n");
 #else
@@ -701,7 +698,6 @@ int main(int argc, char** argv) {
   if (certifier != nullptr) {
     certify_observer.reset();  // detach before reading the final verdict
     certifier->AdvanceTo(NowMicros());
-    if (certify_enabled_trace) esr::GlobalTrace().set_enabled(false);
     const esr::StreamCertification cert = certifier->Snapshot();
     if (cert.certified()) {
       std::printf(

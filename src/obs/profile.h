@@ -70,7 +70,7 @@ const char* ProfilePhaseToString(ProfilePhase phase);
 namespace internal {
 /// Mirror of the global profiler's enabled flag, constant-initialized so
 /// probes inlined anywhere read a well-defined `false` (same pattern as
-/// g_global_trace_enabled).
+/// g_global_trace_gate).
 extern std::atomic<bool> g_global_profiler_enabled;
 }  // namespace internal
 

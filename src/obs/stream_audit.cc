@@ -100,7 +100,7 @@ void StreamCertifier::RecordViolation(const TraceEvent& event, size_t index) {
                     << (blamed.empty() ? "none captured" : chain.str())
                     << "]";
   }
-  if (options_.emit_trace_events && GlobalTraceEnabled()) {
+  if (options_.emit_trace_events && GlobalTraceCapturing()) {
     // Safe from inside the recorder's observer callback: the recorder
     // stores the marker but does not re-deliver it to us.
     GlobalTrace().Record(TraceEvent::Violation(

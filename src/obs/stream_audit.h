@@ -97,7 +97,18 @@ class StreamCertifier {
   /// TraceRecorder::SetObserver trampoline; `ctx` is the StreamCertifier.
   static void ObserveTrampoline(void* ctx, const TraceEvent& event);
 
-  /// Feeds one event, in stream order per transaction.
+  /// The event kinds Observe reads: bound-walk checks, the transaction
+  /// ends that release replay state and close violation intervals, and
+  /// the waits that name blamed writers. A live subscription asks the
+  /// recorder for these only; every other kind is dropped unstamped.
+  static constexpr TraceKindSet kObservedKinds =
+      TraceKindBit(TraceEventType::kBoundCheck) |
+      TraceKindBit(TraceEventType::kCommit) |
+      TraceKindBit(TraceEventType::kAbort) |
+      TraceKindBit(TraceEventType::kWait);
+
+  /// Feeds one event, in stream order per transaction. Kinds outside
+  /// kObservedKinds only advance the observed clock and event count.
   void Observe(const TraceEvent& event);
 
   /// Heartbeat: closes windows up to `ts_micros` even when no event has
@@ -117,7 +128,8 @@ class StreamCertifier {
 
   /// Full snapshot; violations without a captured transaction end get
   /// ts_end = last observed event timestamp, mirroring the offline
-  /// auditor.
+  /// auditor over the same events (a live subscription observes only
+  /// kObservedKinds, so that is the last of those).
   StreamCertification Snapshot() const;
 
  private:

@@ -180,7 +180,34 @@ TraceEvent TraceEvent::Violation(TxnId txn, SiteId site, uint16_t level,
 }
 
 TraceRecorder::TraceRecorder(size_t capacity)
-    : ring_(capacity > 0 ? capacity : 1) {}
+    : capacity_(capacity > 0 ? capacity : 1),
+      ring_storage_(new TraceEvent[capacity_]),
+      ring_(ring_storage_.get()) {}
+
+TraceRecorder::TraceRecorder(std::atomic<uint8_t>* gate)
+    : capacity_(kDefaultCapacity), gate_(gate) {}
+
+void TraceRecorder::set_enabled(bool enabled) {
+  std::lock_guard<std::mutex> lock(control_mu_);
+  if (enabled && ring_storage_ == nullptr) {
+    ring_storage_.reset(new TraceEvent[capacity_]);
+    ring_.store(ring_storage_.get(), std::memory_order_release);
+  }
+  enabled_.store(enabled, std::memory_order_relaxed);
+  PublishGate();
+}
+
+void TraceRecorder::PublishGate() {
+  if (gate_ == nullptr) return;
+  uint8_t bits = 0;
+  if (enabled_.load(std::memory_order_relaxed)) {
+    bits |= internal::kTraceGateCapture;
+  }
+  if (observer_fn_.load(std::memory_order_relaxed) != nullptr) {
+    bits |= internal::kTraceGateObserve;
+  }
+  gate_->store(bits, std::memory_order_relaxed);
+}
 
 int64_t TraceRecorder::NowMicros() const {
   const TimeSourceFn fn = time_fn_.load(std::memory_order_acquire);
@@ -197,9 +224,13 @@ void TraceRecorder::SetTimeSource(TimeSourceFn fn, void* ctx) {
   time_fn_.store(fn, std::memory_order_release);
 }
 
-void TraceRecorder::SetObserver(ObserverFn fn, void* ctx) {
+void TraceRecorder::SetObserver(ObserverFn fn, void* ctx,
+                                TraceKindSet kinds) {
+  std::lock_guard<std::mutex> lock(control_mu_);
   observer_ctx_.store(ctx, std::memory_order_release);
+  observer_kinds_.store(kinds, std::memory_order_release);
   observer_fn_.store(fn, std::memory_order_release);
+  PublishGate();
 }
 
 namespace {
@@ -216,6 +247,19 @@ uint32_t ThreadLaneId() {
 }
 
 void TraceRecorder::Record(TraceEvent event) {
+  // The global recorder stores only while capturing; a standalone one
+  // stores every event handed to it.
+  TraceEvent* const ring = gate_ == nullptr || enabled()
+                               ? ring_.load(std::memory_order_acquire)
+                               : nullptr;
+  const ObserverFn observer = observer_fn_.load(std::memory_order_acquire);
+  const bool deliver =
+      observer != nullptr &&
+      (observer_kinds_.load(std::memory_order_acquire) &
+       TraceKindBit(event.type)) != 0 &&
+      !t_in_observer;
+  if (ring == nullptr && !deliver) return;
+
   event.ts_micros = NowMicros();
   if (event.lane == 0) event.lane = ThreadLaneId();
   // Instants recorded inside a span inherit it, so the auditor can tie a
@@ -227,10 +271,11 @@ void TraceRecorder::Record(TraceEvent event) {
       event.type != TraceEventType::kFlowEnd) {
     event.span = CurrentSpan();
   }
-  const uint64_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-  ring_[slot % ring_.size()] = event;
-  const ObserverFn observer = observer_fn_.load(std::memory_order_acquire);
-  if (observer != nullptr && !t_in_observer) {
+  if (ring != nullptr) {
+    const uint64_t slot = next_.fetch_add(1, std::memory_order_relaxed);
+    ring[slot % capacity_] = event;
+  }
+  if (deliver) {
     t_in_observer = true;
     observer(observer_ctx_.load(std::memory_order_acquire), event);
     t_in_observer = false;
@@ -239,12 +284,12 @@ void TraceRecorder::Record(TraceEvent event) {
 
 size_t TraceRecorder::size() const {
   const uint64_t n = next_.load(std::memory_order_relaxed);
-  return n < ring_.size() ? static_cast<size_t>(n) : ring_.size();
+  return n < capacity_ ? static_cast<size_t>(n) : capacity_;
 }
 
 uint64_t TraceRecorder::dropped() const {
   const uint64_t n = next_.load(std::memory_order_relaxed);
-  return n > ring_.size() ? n - ring_.size() : 0;
+  return n > capacity_ ? n - capacity_ : 0;
 }
 
 void TraceRecorder::Reset() {
@@ -254,14 +299,15 @@ void TraceRecorder::Reset() {
 
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
   const uint64_t n = next_.load(std::memory_order_relaxed);
-  const size_t cap = ring_.size();
+  const size_t cap = capacity_;
+  const TraceEvent* const ring = ring_.load(std::memory_order_acquire);
   std::vector<TraceEvent> out;
   const size_t count = n < cap ? static_cast<size_t>(n) : cap;
   out.reserve(count);
   // Oldest retained event first: when wrapped, the slot after the last
   // write holds the oldest survivor.
   const uint64_t start = n < cap ? 0 : n - cap;
-  for (uint64_t i = start; i < n; ++i) out.push_back(ring_[i % cap]);
+  for (uint64_t i = start; i < n; ++i) out.push_back(ring[i % cap]);
   return out;
 }
 
@@ -399,15 +445,12 @@ Status TraceRecorder::ExportChromeTraceToFile(const std::string& path) const {
 }
 
 namespace internal {
-std::atomic<bool> g_global_trace_enabled{false};
+std::atomic<uint8_t> g_global_trace_gate{0};
 }  // namespace internal
 
 TraceRecorder& GlobalTrace() {
-  static TraceRecorder* recorder = [] {
-    auto* r = new TraceRecorder();
-    r->enabled_mirror_ = &internal::g_global_trace_enabled;
-    return r;
-  }();
+  static TraceRecorder* recorder =
+      new TraceRecorder(&internal::g_global_trace_gate);
   return *recorder;
 }
 

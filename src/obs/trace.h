@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -48,6 +50,14 @@ enum class TraceEventType : uint8_t {
 };
 
 const char* TraceEventTypeToString(TraceEventType type);
+
+/// Set of TraceEventType kinds, bit `k` standing for kind `k`: an
+/// observer subscribes with the kinds it reads.
+using TraceKindSet = uint32_t;
+constexpr TraceKindSet TraceKindBit(TraceEventType type) {
+  return TraceKindSet{1} << static_cast<unsigned>(type);
+}
+inline constexpr TraceKindSet kAllTraceKinds = ~TraceKindSet{0};
 
 /// What a causal span covers. Spans nest: txn > rpc > op > bound_walk,
 /// with commit taking op's place for the commit/abort processing leg.
@@ -159,28 +169,40 @@ inline TraceEvent WithSpan(TraceEvent event, uint64_t span) {
 /// quiescence the benchmarks' end-of-run reporting already has.
 ///
 /// Runtime-off by default: `Record` is only called behind the
-/// `ESR_TRACE_EVENT` macro, which checks `enabled()` (one relaxed atomic
-/// load) first, so a disabled recorder costs a predictable branch.
+/// `ESR_TRACE_EVENT` macro, which checks the global probe gate (one
+/// relaxed atomic load) first, so a disabled recorder costs a predictable
+/// branch. The gate opens for either of two consumers:
+///   - capture (`set_enabled(true)`): every event is stamped and stored in
+///     the ring, and spans open;
+///   - an observer (SetObserver): only the kinds it subscribed to are
+///     stamped and delivered. With capture off nothing else is stamped,
+///     nothing is stored and no span opens — certification pays only for
+///     the few kinds it reads.
+/// The observer sees the same kind-filtered stream either way.
+///
+/// A standalone recorder (anything but GlobalTrace()) is fed only by
+/// direct Record calls and stores each of them whatever `enabled()` says.
 class TraceRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 18;
 
+  /// Standalone recorder; allocates its ring up front.
   explicit TraceRecorder(size_t capacity = kDefaultCapacity);
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
+  /// Is capture on?
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-    if (enabled_mirror_ != nullptr) {
-      enabled_mirror_->store(enabled, std::memory_order_relaxed);
-    }
-  }
+  /// Turns capture on or off. The global recorder allocates its ring the
+  /// first time capture turns on, before the flag is published.
+  void set_enabled(bool enabled);
 
   /// Stamps `event` with the current time source reading, attaches the
   /// calling thread's current span to instant events recorded without an
-  /// explicit one, and stores it.
+  /// explicit one, stores it and hands it to the observer if subscribed
+  /// to its kind. An event that would be neither stored nor delivered is
+  /// dropped before stamping.
   void Record(TraceEvent event);
 
   /// Allocates a process-unique causal span id (never 0).
@@ -196,20 +218,22 @@ class TraceRecorder {
   void ClearTimeSource() { SetTimeSource(nullptr, nullptr); }
 
   /// Subscribes an observer that Record invokes synchronously with every
-  /// stamped event, after it is stored in the ring — the streaming
-  /// certifier's feed. At most one observer; `fn(ctx, event)` must stay
-  /// valid until ClearObserver() and must be cheap (it runs on the
-  /// recording thread, under whatever concurrency the recorder sees).
-  /// Events the observer itself records are delivered to the ring but not
-  /// back to the observer, so it can emit markers without recursing.
+  /// stamped event whose kind is in `kinds`, after it is stored (when
+  /// capture is on) — the streaming certifier's feed. At most one
+  /// observer; `fn(ctx, event)` must stay valid until ClearObserver() and
+  /// must be cheap (it runs on the recording thread, under whatever
+  /// concurrency the recorder sees). Events the observer itself records
+  /// are delivered to the ring but not back to the observer, so it can
+  /// emit markers without recursing. On the global recorder a subscribed
+  /// observer opens the probe gate without turning capture on.
   using ObserverFn = void (*)(void* ctx, const TraceEvent& event);
-  void SetObserver(ObserverFn fn, void* ctx);
-  void ClearObserver() { SetObserver(nullptr, nullptr); }
+  void SetObserver(ObserverFn fn, void* ctx, TraceKindSet kinds);
+  void ClearObserver() { SetObserver(nullptr, nullptr, 0); }
 
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
   /// Events currently retained (<= capacity).
   size_t size() const;
-  /// Total events ever recorded.
+  /// Total events ever stored.
   uint64_t recorded() const {
     return next_.load(std::memory_order_relaxed);
   }
@@ -238,21 +262,36 @@ class TraceRecorder {
  private:
   friend TraceRecorder& GlobalTrace();
 
-  int64_t NowMicros() const;
+  /// The global recorder: default capacity, no ring until capture first
+  /// turns on, and the probe gate mirrored into `gate`.
+  explicit TraceRecorder(std::atomic<uint8_t>* gate);
 
+  int64_t NowMicros() const;
+  /// Stores the probe-gate bits for the current capture/observer state;
+  /// requires control_mu_ held.
+  void PublishGate();
+
+  const size_t capacity_;
   std::atomic<bool> enabled_{false};
-  /// Set only on the GlobalTrace() recorder: mirrors enabled_ into the
-  /// constant-initialized flag the inline probe fast path reads, so a
-  /// disabled probe costs one relaxed load and a branch — no call, no
-  /// static-init guard.
-  std::atomic<bool>* enabled_mirror_ = nullptr;
+  /// Set only on the GlobalTrace() recorder: the constant-initialized
+  /// gate word the inline probe fast path reads (capture and observer
+  /// bits), so a closed probe costs one relaxed load and a branch — no
+  /// call, no static-init guard.
+  std::atomic<uint8_t>* const gate_ = nullptr;
+  /// Serializes set_enabled/SetObserver so the gate word always reflects
+  /// the latest of both.
+  std::mutex control_mu_;
   std::atomic<uint64_t> next_{0};
   std::atomic<uint64_t> next_span_id_{1};
   std::atomic<TimeSourceFn> time_fn_{nullptr};
   std::atomic<void*> time_ctx_{nullptr};
   std::atomic<ObserverFn> observer_fn_{nullptr};
   std::atomic<void*> observer_ctx_{nullptr};
-  std::vector<TraceEvent> ring_;
+  std::atomic<TraceKindSet> observer_kinds_{0};
+  /// Owns the ring; `ring_` publishes it to recording threads (null until
+  /// allocated).
+  std::unique_ptr<TraceEvent[]> ring_storage_;
+  std::atomic<TraceEvent*> ring_{nullptr};
 };
 
 /// Writes an arbitrary event sequence in the Chrome trace JSON format
@@ -277,25 +316,42 @@ void WriteChromeTraceEvents(const std::vector<TraceEvent>& events,
 uint32_t ThreadLaneId();
 
 /// The process-wide recorder the ESR_TRACE_EVENT probes feed. Disabled by
-/// default; tests, examples, and the bench/threaded-server flags enable it
-/// around the region of interest.
+/// default; tests, examples, and the bench/threaded-server flags enable
+/// capture around the region of interest, and streaming certification
+/// attaches an observer. Its ring is allocated when capture first turns
+/// on, so a process that never captures never pays for it.
 TraceRecorder& GlobalTrace();
 
 namespace internal {
-/// Mirror of the global recorder's enabled flag (kept in sync by
-/// TraceRecorder::set_enabled). Constant-initialized so probes inlined
-/// into static initializers read a well-defined `false`.
-extern std::atomic<bool> g_global_trace_enabled;
+/// Probe-gate bits of the global recorder (kept in sync by set_enabled
+/// and SetObserver): capture on, observer subscribed.
+inline constexpr uint8_t kTraceGateCapture = 1;
+inline constexpr uint8_t kTraceGateObserve = 2;
+/// Constant-initialized so probes inlined into static initializers read
+/// a well-defined closed gate.
+extern std::atomic<uint8_t> g_global_trace_gate;
 }  // namespace internal
 
-/// Probe-site fast path: is the process-wide recorder enabled? One inline
-/// relaxed load — the engines call this on every operation, so it must
-/// not involve a function call or a local-static guard.
+/// Probe-site fast path: is the process-wide probe gate open (capture on,
+/// or an observer subscribed)? One inline relaxed load — the engines call
+/// this on every operation, so it must not involve a function call or a
+/// local-static guard.
 inline bool GlobalTraceEnabled() {
 #ifdef ESR_TRACE_DISABLED
   return false;
 #else
-  return internal::g_global_trace_enabled.load(std::memory_order_relaxed);
+  return internal::g_global_trace_gate.load(std::memory_order_relaxed) != 0;
+#endif
+}
+
+/// Is the process-wide recorder capturing? Spans open only then: an
+/// observer alone never reads them.
+inline bool GlobalTraceCapturing() {
+#ifdef ESR_TRACE_DISABLED
+  return false;
+#else
+  return (internal::g_global_trace_gate.load(std::memory_order_relaxed) &
+          internal::kTraceGateCapture) != 0;
 #endif
 }
 
@@ -319,11 +375,11 @@ void EndSpanSlow(SpanKind kind, uint64_t span, TxnId txn, SiteId site);
 }  // namespace internal
 
 /// Opens a span whose end is recorded elsewhere (possibly another
-/// event-queue callback). Returns 0 when tracing is disabled. `parent` 0
+/// event-queue callback). Returns 0 unless capture is on. `parent` 0
 /// resolves to the thread's current span.
 inline uint64_t BeginSpan(SpanKind kind, TxnId txn, SiteId site,
                           uint64_t target = 0, uint64_t parent = 0) {
-  return GlobalTraceEnabled()
+  return GlobalTraceCapturing()
              ? internal::BeginSpanSlow(kind, txn, site, target, parent)
              : 0;
 }
@@ -340,8 +396,8 @@ inline void EndSpan(SpanKind, uint64_t, TxnId, SiteId) {}
 #endif
 
 /// RAII span for synchronous scopes (engine operations, bound walks,
-/// threaded-server RPC attempts): opens on construction if tracing is
-/// enabled, pushes itself as the thread's current span, and closes on
+/// threaded-server RPC attempts): opens on construction if capture is on,
+/// pushes itself as the thread's current span, and closes on
 /// scope exit. The parent is the thread's current span if one is open,
 /// else `fallback_parent` (typically the transaction span).
 class TraceSpan {
@@ -349,7 +405,9 @@ class TraceSpan {
 #ifndef ESR_TRACE_DISABLED
   TraceSpan(SpanKind kind, TxnId txn, SiteId site, uint64_t target = 0,
             uint64_t fallback_parent = 0) {
-    if (GlobalTraceEnabled()) Open(kind, txn, site, target, fallback_parent);
+    if (GlobalTraceCapturing()) {
+      Open(kind, txn, site, target, fallback_parent);
+    }
   }
   ~TraceSpan() {
     if (id_ != 0) Close();
@@ -399,11 +457,12 @@ class ScopedSpanParent {
 };
 
 /// RAII subscription of an observer (e.g. a StreamCertifier) to the
-/// global recorder, cleared on scope exit.
+/// global recorder for the event kinds it reads, cleared on scope exit.
 class ScopedTraceObserver {
  public:
-  ScopedTraceObserver(TraceRecorder::ObserverFn fn, void* ctx) {
-    GlobalTrace().SetObserver(fn, ctx);
+  ScopedTraceObserver(TraceRecorder::ObserverFn fn, void* ctx,
+                      TraceKindSet kinds) {
+    GlobalTrace().SetObserver(fn, ctx, kinds);
   }
   ~ScopedTraceObserver() { GlobalTrace().ClearObserver(); }
 
@@ -427,7 +486,7 @@ class ScopedTraceTimeSource {
 }  // namespace esr
 
 /// Probe macro: evaluates `event_expr` and records it iff the global
-/// recorder is enabled. Compiles away entirely (including `event_expr`)
+/// probe gate is open. Compiles away entirely (including `event_expr`)
 /// when the build defines ESR_TRACE_DISABLED (CMake -DESR_DISABLE_TRACING).
 #ifdef ESR_TRACE_DISABLED
 #define ESR_TRACE_EVENT(event_expr) \

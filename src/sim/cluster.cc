@@ -111,33 +111,28 @@ SimResult Cluster::Run() {
     if (GlobalTrace().enabled()) GlobalTrace().Reset();
   }
   // Streaming certification subscribes to the recorder for this run: the
-  // certifier sees every probe event as it is recorded and recertifies
-  // the bound walks window by window, in lockstep with the sampler.
+  // certifier sees the bound-walk and lifecycle events it reads as they
+  // are recorded and recertifies the walks window by window, in lockstep
+  // with the sampler. Subscribing opens the probe gate without turning
+  // capture on, so a certify-only run stores nothing and opens no spans.
   std::optional<ScopedTraceObserver> observer;
-  bool enabled_trace_for_certify = false;
-  if (options_.certify && options_.owns_trace && GlobalTraceEnabled()) {
-    // Tracing already on (e.g. --trace is also capturing): just attach.
-  } else if (options_.certify && options_.owns_trace) {
-#ifndef ESR_TRACE_DISABLED
-    GlobalTrace().set_enabled(true);
-    GlobalTrace().Reset();
-    enabled_trace_for_certify = true;
-#else
-    ESR_LOG(kWarning) << "streaming certification skipped: tracing is "
-                         "compiled out (ESR_DISABLE_TRACING)";
-#endif
-  } else if (options_.certify) {
+  if (options_.certify && !options_.owns_trace) {
     ESR_LOG(kWarning) << "streaming certification skipped: run does not "
                          "own the trace recorder (parallel worker pool)";
-  }
-  if (options_.certify && options_.owns_trace && GlobalTraceEnabled()) {
+  } else if (options_.certify) {
+#ifndef ESR_TRACE_DISABLED
     StreamCertifierOptions certifier_options;
     certifier_options.window_s = options_.series_window_s;
     certifier_options.source = options_.series_source;
     certifier_options.emit_trace_events = true;
     certifier_ = std::make_unique<StreamCertifier>(certifier_options);
-    observer.emplace(&StreamCertifier::ObserveTrampoline, certifier_.get());
+    observer.emplace(&StreamCertifier::ObserveTrampoline, certifier_.get(),
+                     StreamCertifier::kObservedKinds);
     if (sampler_ != nullptr) sampler_->set_certifier(certifier_.get());
+#else
+    ESR_LOG(kWarning) << "streaming certification skipped: tracing is "
+                         "compiled out (ESR_DISABLE_TRACING)";
+#endif
   }
   // Stagger client start-up slightly so sites do not run in lockstep.
   for (size_t i = 0; i < clients_.size(); ++i) {
@@ -190,7 +185,6 @@ SimResult Cluster::Run() {
     result.certification = certifier_->Snapshot();
     if (sampler_ != nullptr) sampler_->set_certifier(nullptr);
   }
-  if (enabled_trace_for_certify) GlobalTrace().set_enabled(false);
   if (options_.health) result.health = AnalyzeSeries(result.series);
   return result;
 }

@@ -52,10 +52,11 @@ struct ClusterOptions {
   double series_window_s = 1.0;
   /// Provenance string recorded in the exported series.
   std::string series_source;
-  /// Online streaming certification (obs/stream_audit.h): Run() enables
-  /// trace capture, subscribes a StreamCertifier to the recorder, aligns
-  /// its windows with `series_window_s`, and fills
-  /// SimResult::certification. Requires owns_trace — worker-pool runs may
+  /// Online streaming certification (obs/stream_audit.h): Run()
+  /// subscribes a StreamCertifier to the recorder for the event kinds it
+  /// reads — without turning trace capture on, so a certify-only run
+  /// stores no events and opens no spans — aligns its windows with
+  /// `series_window_s`, and fills SimResult::certification. Requires owns_trace — worker-pool runs may
   /// never touch the shared recorder — and a build with tracing compiled
   /// in; otherwise certification is skipped with a warning. Purely
   /// observational: workload results are identical either way.

@@ -32,15 +32,17 @@ SeriesSampler::~SeriesSampler() {
 }
 
 void SeriesSampler::ScheduleWindows(double end_s) {
-  const size_t num_windows =
-      static_cast<size_t>(std::ceil(end_s / options_.window_s));
-  series_.windows.reserve(num_windows);
-  for (size_t i = 0; i < num_windows; ++i) {
-    const double boundary_s =
-        std::min(static_cast<double>(i + 1) * options_.window_s, end_s);
-    const SimTime at = static_cast<SimTime>(boundary_s * kMicrosPerSecond);
-    queue_->ScheduleAt(at, [this, i] { Sample(i); });
-  }
+  end_s_ = end_s;
+  num_windows_ = static_cast<size_t>(std::ceil(end_s / options_.window_s));
+  series_.windows.reserve(num_windows_);
+  if (num_windows_ > 0) ScheduleWindow(0);
+}
+
+void SeriesSampler::ScheduleWindow(size_t window_index) {
+  const double boundary_s = std::min(
+      static_cast<double>(window_index + 1) * options_.window_s, end_s_);
+  const SimTime at = static_cast<SimTime>(boundary_s * kMicrosPerSecond);
+  queue_->ScheduleAt(at, [this, window_index] { Sample(window_index); });
 }
 
 void SeriesSampler::Sample(size_t window_index) {
@@ -84,6 +86,7 @@ void SeriesSampler::Sample(size_t window_index) {
   series_.windows.push_back(std::move(w));
   prev_ = now;
   prev_time_s_ = now_s;
+  if (window_index + 1 < num_windows_) ScheduleWindow(window_index + 1);
 }
 
 RunSeries SeriesSampler::TakeSeries() { return std::move(series_); }

@@ -40,6 +40,15 @@ struct SeriesSamplerOptions {
 /// event ties with a workload event the queue's FIFO tie-break keeps the
 /// order deterministic.
 ///
+/// At most one sampling event is pending: ScheduleWindows queues window
+/// 0's boundary and each Sample(i) queues boundary i+1, so the workload's
+/// events never sift through a heap holding the whole run's boundaries.
+/// Boundary i+1 is queued at boundary i, which orders it exactly as if it
+/// had been queued before the run: a workload event could only jump
+/// ahead of it by being scheduled for the same instant at least a window
+/// in advance, and every workload delay (RPC legs, server CPU queueing,
+/// restart and retry backoffs, think times) is far shorter than a window.
+///
 /// The windows vector is sized up front from the planned run length and
 /// per-window node readings reuse the tracker's fixed slots — after
 /// ScheduleWindows the sampling path performs no allocation beyond each
@@ -71,9 +80,9 @@ class SeriesSampler {
   SeriesSampler(const SeriesSampler&) = delete;
   SeriesSampler& operator=(const SeriesSampler&) = delete;
 
-  /// Schedules one sampling event per window boundary over [0, end_s]
-  /// virtual seconds (ceil(end_s / window_s) windows) and pre-sizes the
-  /// series. Call once, before EventQueue::RunUntil.
+  /// Plans one sampling event per window boundary over [0, end_s]
+  /// virtual seconds (ceil(end_s / window_s) windows), queues the first,
+  /// and pre-sizes the series. Call once, before EventQueue::RunUntil.
   void ScheduleWindows(double end_s);
 
   /// The collected series (after the run). Windows the clock never
@@ -87,6 +96,8 @@ class SeriesSampler {
   void set_certifier(StreamCertifier* certifier) { certifier_ = certifier; }
 
  private:
+  /// Queues the sampling event at window `window_index`'s right edge.
+  void ScheduleWindow(size_t window_index);
   void Sample(size_t window_index);
 
   EventQueue* queue_;
@@ -94,6 +105,9 @@ class SeriesSampler {
   CumulativeFn cumulative_;
   SeriesSamplerOptions options_;
   StreamCertifier* certifier_ = nullptr;
+  /// Planned run length and window count (set by ScheduleWindows).
+  double end_s_ = 0.0;
+  size_t num_windows_ = 0;
   NodeHeadroomTracker tracker_;
   Cumulative prev_;
   double prev_time_s_ = 0.0;

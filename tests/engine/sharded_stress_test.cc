@@ -45,8 +45,11 @@ namespace {
 constexpr size_t kObjects = 240;
 constexpr size_t kGroups = 6;
 
+// gtest prints a parameter without operator<< as a raw byte dump, and
+// CMake's test discovery bakes that dump into each ctest name. The name
+// pointer goes last so the leading bytes are the fixed numeric fields
+// rather than an ASLR-dependent address.
 struct StressConfig {
-  const char* name;
   size_t shards;
   size_t sessions;  // MPL
   size_t workers;
@@ -63,6 +66,7 @@ struct StressConfig {
   /// ring, and a lossy capture cannot be certified (asserted below).
   size_t objects = kObjects;
   size_t hot_set = 20;
+  const char* name = "";
 };
 
 std::string ConfigName(const ::testing::TestParamInfo<StressConfig>& info) {
@@ -256,37 +260,40 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Single shard: the degenerate case, everything serializes on one
         // latch but group commit still batches.
-        StressConfig{"OneShardMpl16", 1, 16, 4, 30, 11},
+        StressConfig{.shards = 1, .sessions = 16, .workers = 4,
+                     .txns_per_session = 30, .seed = 11,
+                     .name = "OneShardMpl16"},
         // The mid configuration, re-run under three seeds (the TSan CI
         // job replays these). Slightly wider hot set than the default:
         // when the host is oversubscribed (parallel ctest, TSan's
         // slowdown) the run stretches and the extra abort-retry probes
         // on a 20-object hot set can wrap the trace ring.
-        StressConfig{"FourShardMpl32SeedA", 4, 32, 8, 25, 11,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
-                     /*objects=*/480, /*hot_set=*/60},
-        StressConfig{"FourShardMpl32SeedB", 4, 32, 8, 25, 12,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
-                     /*objects=*/480, /*hot_set=*/60},
-        StressConfig{"FourShardMpl32SeedC", 4, 32, 8, 25, 13,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
-                     /*objects=*/480, /*hot_set=*/60},
+        StressConfig{.shards = 4, .sessions = 32, .workers = 8,
+                     .txns_per_session = 25, .seed = 11, .objects = 480,
+                     .hot_set = 60, .name = "FourShardMpl32SeedA"},
+        StressConfig{.shards = 4, .sessions = 32, .workers = 8,
+                     .txns_per_session = 25, .seed = 12, .objects = 480,
+                     .hot_set = 60, .name = "FourShardMpl32SeedB"},
+        StressConfig{.shards = 4, .sessions = 32, .workers = 8,
+                     .txns_per_session = 25, .seed = 13, .objects = 480,
+                     .hot_set = 60, .name = "FourShardMpl32SeedC"},
         // Wide sharding with one worker per shard. Wider hot set: under
         // TSan's ~10x slowdown the thread interleavings stretch out and
         // the default 20-object hot set generates enough abort-retry
         // probes to wrap the trace ring.
-        StressConfig{"SixteenShardMpl64", 16, 64, 16, 12, 14,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
-                     /*objects=*/480, /*hot_set=*/80},
+        StressConfig{.shards = 16, .sessions = 64, .workers = 16,
+                     .txns_per_session = 12, .seed = 14, .objects = 480,
+                     .hot_set = 80, .name = "SixteenShardMpl64"},
         // Engine-wide shared epsilon budget on top of per-txn bounds.
-        StressConfig{"SharedBudgetMpl32", 4, 32, 8, 20, 15,
-                     /*shared_bounds=*/true},
+        StressConfig{.shards = 4, .sessions = 32, .workers = 8,
+                     .txns_per_session = 20, .seed = 15,
+                     .shared_bounds = true, .name = "SharedBudgetMpl32"},
         // MPL 256: a thundering herd of sessions over 16 workers; small
         // scripts plus a wider population/hot set keep the abort-retry
         // event volume inside the trace ring.
-        StressConfig{"HighMpl256", 8, 256, 16, 3, 16,
-                     /*shared_bounds=*/false, /*small_txns=*/true,
-                     /*objects=*/960, /*hot_set=*/120}),
+        StressConfig{.shards = 8, .sessions = 256, .workers = 16,
+                     .txns_per_session = 3, .seed = 16, .small_txns = true,
+                     .objects = 960, .hot_set = 120, .name = "HighMpl256"}),
     ConfigName);
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Streaming consistency certification: the online certifier against the
 // offline auditor on histories with known verdicts, watermark/lag
 // semantics, lossy-capture degradation, recorder observer delivery,
+// observe-only certification through the global recorder,
 // whole-cluster online==offline equivalence across seeds, and the
 // schedule-perturbation violation hunt.
 
@@ -222,7 +223,7 @@ TEST(TraceObserverTest, RecorderDeliversEveryRecordUntilCleared) {
   size_t seen = 0;
   recorder.SetObserver(
       [](void* ctx, const TraceEvent&) { ++*static_cast<size_t*>(ctx); },
-      &seen);
+      &seen, kAllTraceKinds);
   recorder.Record(TraceEvent::BeginTxn(1, TxnType::kQuery, 1));
   recorder.Record(TraceEvent::CommitTxn(1, 1));
   EXPECT_EQ(seen, 2u);
@@ -230,6 +231,32 @@ TEST(TraceObserverTest, RecorderDeliversEveryRecordUntilCleared) {
   recorder.Record(TraceEvent::BeginTxn(2, TxnType::kQuery, 1));
   EXPECT_EQ(seen, 2u);
   EXPECT_EQ(recorder.size(), 3u);  // the ring stored all three regardless
+}
+
+TEST(TraceObserverTest, MaskedObserverSeesOnlyItsKindsWhileCaptureStoresAll) {
+  TraceRecorder recorder(/*capacity=*/16);
+  recorder.set_enabled(true);
+  std::vector<TraceEventType> seen;
+  recorder.SetObserver(
+      [](void* ctx, const TraceEvent& e) {
+        static_cast<std::vector<TraceEventType>*>(ctx)->push_back(e.type);
+      },
+      &seen, StreamCertifier::kObservedKinds);
+  recorder.Record(TraceEvent::BeginTxn(1, TxnType::kQuery, 1));
+  recorder.Record(TraceEvent::SpanBeginEvent(SpanKind::kOp, 5, 0, 1, 1, 42));
+  recorder.Record(TraceEvent::Op(TraceEventType::kRead, 1, 1, 42));
+  recorder.Record(TraceEvent::WaitOn(1, 1, 43, /*writer=*/4));
+  recorder.Record(TraceEvent::BoundCheck(1, 1, 0, 0, 5.0, 100.0, true));
+  recorder.Record(TraceEvent::SpanEndEvent(SpanKind::kOp, 5, 1, 1));
+  recorder.Record(TraceEvent::CommitTxn(1, 1));
+  recorder.Record(TraceEvent::AbortTxn(2, 1, /*reason=*/1));
+  recorder.ClearObserver();
+
+  const std::vector<TraceEventType> expected = {
+      TraceEventType::kWait, TraceEventType::kBoundCheck,
+      TraceEventType::kCommit, TraceEventType::kAbort};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(recorder.size(), 8u);  // capture keeps every kind
 }
 
 // -- Lossy captures --------------------------------------------------------
@@ -431,6 +458,102 @@ TEST(MinimizeScheduleTest, DemoMinimizesToBoundRelevantPrefix) {
 
 #ifndef ESR_TRACE_DISABLED
 
+// -- Observe-only certification through the global recorder --------------
+
+/// Time source returning the scripted timestamp of the event being fed.
+int64_t ScriptedNow(void* ctx) { return *static_cast<int64_t*>(ctx); }
+
+/// Feeds `history` through the global probe path in observe-only mode —
+/// each event wrapped in the op span, Read/Write and span-end events a
+/// live engine would record around it, plus trailing noise after the
+/// last one — into a subscribed certifier, then heartbeats to 5 s.
+StreamCertification ObserveOnlyThroughGlobalTrace(
+    const std::vector<TraceEvent>& history) {
+  GlobalTrace().set_enabled(false);
+  GlobalTrace().Reset();
+  StreamCertifierOptions options;
+  options.log_violations = false;
+  options.emit_trace_events = true;
+  StreamCertifier certifier(options);
+  int64_t now = 0;
+  {
+    ScopedTraceTimeSource clock(&ScriptedNow, &now);
+    ScopedTraceObserver observer(&StreamCertifier::ObserveTrampoline,
+                                 &certifier,
+                                 StreamCertifier::kObservedKinds);
+    EXPECT_TRUE(GlobalTraceEnabled());
+    EXPECT_FALSE(GlobalTraceCapturing());
+    for (const TraceEvent& e : history) {
+      now = e.ts_micros;
+      // Spans do not open without capture.
+      TraceSpan op(SpanKind::kOp, e.txn, e.site, /*target=*/42);
+      EXPECT_EQ(op.id(), 0u);
+      EXPECT_EQ(BeginSpan(SpanKind::kRpc, e.txn, e.site), 0u);
+      ESR_TRACE_EVENT(
+          TraceEvent::SpanBeginEvent(SpanKind::kOp, 9, 0, e.txn, e.site, 42));
+      ESR_TRACE_EVENT(TraceEvent::Op(TraceEventType::kRead, e.txn, e.site, 42));
+      ESR_TRACE_EVENT(e);
+      ESR_TRACE_EVENT(
+          TraceEvent::Op(TraceEventType::kWrite, e.txn, e.site, 43));
+      ESR_TRACE_EVENT(TraceEvent::SpanEndEvent(SpanKind::kOp, 9, e.txn, e.site));
+    }
+    now += 5'000;
+    ESR_TRACE_EVENT(TraceEvent::Op(TraceEventType::kRead, 8, 2, 44));
+    ESR_TRACE_EVENT(TraceEvent::SpanEndEvent(SpanKind::kTxn, 10, 8, 2));
+  }
+  EXPECT_FALSE(GlobalTraceEnabled());
+  // Neither the noise nor the certifier's violation marker was stored.
+  EXPECT_EQ(GlobalTrace().recorded(), 0u);
+  certifier.AdvanceTo(5'000'000);
+  return certifier.Snapshot();
+}
+
+TEST(ObserveOnlyCertifyTest, CatchesDemoViolationThroughTheGlobalRecorder) {
+  // The demo history as is (the violating transaction commits), and with
+  // a wait on writer 4 added and the commit cut, so the transaction never
+  // ends and its violation interval closes at the last observed event.
+  std::vector<TraceEvent> unended = DemoViolationHistory();
+  unended.pop_back();
+  TraceEvent wait = TraceEvent::WaitOn(7, 1, /*object=*/42, /*writer=*/4);
+  wait.ts_micros = 1005;
+  unended.insert(unended.begin() + 1, wait);
+
+  for (const std::vector<TraceEvent>& history :
+       {DemoViolationHistory(), unended}) {
+    StreamCertifierOptions options;
+    options.log_violations = false;
+    StreamCertifier direct_certifier(options);
+    for (const TraceEvent& e : history) direct_certifier.Observe(e);
+    direct_certifier.AdvanceTo(5'000'000);
+    const StreamCertification direct = direct_certifier.Snapshot();
+    const StreamCertification live = ObserveOnlyThroughGlobalTrace(history);
+
+    // Both match the offline replay of the history violation for
+    // violation (node, interval, accumulation, limit), so they match
+    // each other.
+    const AuditReport offline = AuditTrace(history);
+    ASSERT_EQ(offline.violations.size(), 1u);
+    EXPECT_TRUE(StreamMatchesOffline(offline, direct));
+    EXPECT_TRUE(StreamMatchesOffline(offline, live));
+    EXPECT_DOUBLE_EQ(live.certified_through_s, 0.0);
+    EXPECT_EQ(live.certified_through_s, direct.certified_through_s);
+    EXPECT_EQ(live.blamed_writers, direct.blamed_writers);
+    ASSERT_EQ(live.nodes.size(), direct.nodes.size());
+    for (size_t i = 0; i < live.nodes.size(); ++i) {
+      EXPECT_EQ(live.nodes[i].violated, direct.nodes[i].violated);
+      EXPECT_EQ(live.nodes[i].certified_through_s,
+                direct.nodes[i].certified_through_s);
+    }
+  }
+  // The unended run blamed the writer it waited on and closed the
+  // interval at its last bound check, as the offline auditor does.
+  const StreamCertification live = ObserveOnlyThroughGlobalTrace(unended);
+  ASSERT_EQ(live.blamed_writers.size(), 1u);
+  EXPECT_EQ(live.blamed_writers.front(), std::vector<TxnId>{4});
+  EXPECT_EQ(live.violations.front().ts_end, 1022);
+  EXPECT_EQ(AuditTrace(unended).violations.front().ts_end, 1022);
+}
+
 ClusterOptions CertifyOptions(uint64_t seed) {
   ClusterOptions opt;
   opt.mpl = 3;
@@ -445,25 +568,86 @@ ClusterOptions CertifyOptions(uint64_t seed) {
 }
 
 TEST(ClusterCertifyTest, OnlineVerdictMatchesOfflineAcrossSeeds) {
-  const bool was_enabled = GlobalTrace().enabled();
   for (const uint64_t seed : {1ull, 7ull, 23757ull}) {
+    // Certification alone captures nothing; turn capture on so the run
+    // leaves its whole event stream in the global ring.
+    GlobalTrace().Reset();
+    GlobalTrace().set_enabled(true);
     const SimResult result = RunCluster(CertifyOptions(seed));
+    GlobalTrace().set_enabled(false);
     ASSERT_TRUE(result.certification.enabled) << "seed " << seed;
     EXPECT_TRUE(result.certification.certified()) << "seed " << seed;
     EXPECT_GT(result.certification.walks_replayed, 0u) << "seed " << seed;
 
-    // The run left its whole event stream in the global ring: replay it
-    // through the offline auditor and demand the identical verdict.
+    // The certifier saw exactly the captured events of its kinds; the
+    // offline auditor replays the full capture to the identical verdict.
     ASSERT_EQ(GlobalTrace().dropped(), 0u) << "seed " << seed;
     const std::vector<TraceEvent> events = GlobalTrace().Snapshot();
-    ASSERT_EQ(events.size(), result.certification.events_observed)
+    size_t certifier_kind_events = 0;
+    for (const TraceEvent& e : events) {
+      if ((StreamCertifier::kObservedKinds & TraceKindBit(e.type)) != 0) {
+        ++certifier_kind_events;
+      }
+    }
+    EXPECT_LT(certifier_kind_events, events.size()) << "seed " << seed;
+    EXPECT_EQ(result.certification.events_observed, certifier_kind_events)
         << "seed " << seed;
     const AuditReport offline = AuditTrace(events);
     EXPECT_TRUE(StreamMatchesOffline(offline, result.certification))
         << "seed " << seed;
   }
-  GlobalTrace().set_enabled(was_enabled);
   GlobalTrace().Reset();
+}
+
+void ExpectSameCertification(const StreamCertification& a,
+                             const StreamCertification& b) {
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.window_s, b.window_s);
+  EXPECT_EQ(a.events_observed, b.events_observed);
+  EXPECT_EQ(a.walks_replayed, b.walks_replayed);
+  EXPECT_EQ(a.charges_applied, b.charges_applied);
+  EXPECT_EQ(a.windows_closed, b.windows_closed);
+  EXPECT_EQ(a.observed_through_s, b.observed_through_s);
+  EXPECT_EQ(a.certified_through_s, b.certified_through_s);
+  EXPECT_EQ(a.certified_from_s, b.certified_from_s);
+  EXPECT_EQ(a.lag_windows, b.lag_windows);
+  EXPECT_EQ(a.lost_prefix_events, b.lost_prefix_events);
+  EXPECT_EQ(a.violations.size(), b.violations.size());
+  EXPECT_EQ(a.blamed_writers, b.blamed_writers);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (size_t i = 0; i < a.nodes.size(); ++i) {
+    EXPECT_EQ(a.nodes[i].group, b.nodes[i].group) << "node " << i;
+    EXPECT_EQ(a.nodes[i].level, b.nodes[i].level) << "node " << i;
+    EXPECT_EQ(a.nodes[i].checks, b.nodes[i].checks) << "node " << i;
+    EXPECT_EQ(a.nodes[i].violated, b.nodes[i].violated) << "node " << i;
+    EXPECT_EQ(a.nodes[i].certified_through_s, b.nodes[i].certified_through_s)
+        << "node " << i;
+  }
+}
+
+TEST(ClusterCertifyTest, ObserveOnlyRunCertifiesLikeACapturingRun) {
+  for (const uint64_t seed : {1ull, 7ull, 23757ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GlobalTrace().set_enabled(false);
+    GlobalTrace().Reset();
+    const SimResult observed = RunCluster(CertifyOptions(seed));
+    // Certify-only: the recorder stored nothing.
+    EXPECT_EQ(GlobalTrace().recorded(), 0u);
+
+    GlobalTrace().set_enabled(true);
+    const SimResult captured = RunCluster(CertifyOptions(seed));
+    GlobalTrace().set_enabled(false);
+    EXPECT_GT(GlobalTrace().recorded(), 0u);
+    GlobalTrace().Reset();
+
+    ASSERT_TRUE(observed.certification.enabled);
+    EXPECT_GT(observed.certification.walks_replayed, 0u);
+    EXPECT_FALSE(observed.certification.nodes.empty());
+    ExpectSameCertification(observed.certification, captured.certification);
+    EXPECT_EQ(observed.committed, captured.committed);
+    EXPECT_EQ(observed.aborts, captured.aborts);
+    EXPECT_EQ(observed.ops_executed, captured.ops_executed);
+  }
 }
 
 TEST(ClusterCertifyTest, SeriesWindowsCarryTheLiveWatermark) {
