@@ -346,9 +346,9 @@ class JsonReport {
 //                   "recorded_unix": _},
 //    "report": <JsonReport::Write document>}
 //
-// tools/esr_bench_report scans the directory, groups entries by figure,
-// renders cross-run trend tables, and flags regressions with the same
-// CI-aware tolerance rule as scripts/check_bench_regression.py.
+// `esr bench <dir>` scans the directory, groups entries by figure, renders
+// cross-run trend tables, and flags regressions with the same CI-aware
+// tolerance rule its --check gate applies to the committed baselines.
 
 /// Registry directory: the first `--registry <dir>` pair in argv wins
 /// over ESR_BENCH_REGISTRY; empty (registry disabled) when neither is

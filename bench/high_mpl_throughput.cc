@@ -23,7 +23,7 @@
 //
 // Outputs follow the figure-harness conventions: a fixed-width table,
 // `--json <path>` for the machine-readable report, and `--registry
-// <dir>` to append to the cross-run trend registry for esr_bench_report.
+// <dir>` to append to the cross-run trend registry for `esr bench`.
 //
 // Single-core caveat: on one hardware thread the worker pool time-shares
 // a core, so the speedup column measures batching/group-commit

@@ -4,7 +4,7 @@
 // table (long-lived, mixed insert/find/erase). Reported as min-of-N
 // ops/sec so the numbers are stable on shared machines, and emitted as a
 // JsonReport so `--registry <dir>` records them for cross-run trends
-// (tools/esr_bench_report), like every figure harness.
+// (`esr bench`), like every figure harness.
 
 #include <chrono>
 #include <cstdint>

@@ -13,7 +13,7 @@
 // Build & run:  ./build/examples/banking_hierarchy [--trace trace.json]
 //
 // --trace captures the whole run (spans, bound-check walks, conflict
-// flows) as Chrome trace-event JSON; feed it to tools/esr_audit to
+// flows) as Chrome trace-event JSON; feed it to `esr audit` to
 // recertify every hierarchical bound offline.
 
 #include <cstdio>

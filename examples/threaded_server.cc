@@ -31,7 +31,7 @@
 // --json dumps the final epsilon level's metric registry (counters plus
 // latency percentiles) as JSON; --trace captures that run's transaction
 // lifecycle as causal spans and writes Chrome trace-event JSON loadable
-// in Perfetto / about:tracing (and replayable by tools/esr_audit).
+// in Perfetto / about:tracing (and replayable by `esr audit`).
 // --metrics-port serves the live registry as Prometheus text on
 // 127.0.0.1:<port>/metrics (0 picks a free port, printed on stderr) with
 // a background sampler recording active-transaction gauges;
@@ -46,14 +46,14 @@
 // if any bound violation is certified.
 // --profile turns on the wall-clock profiler (obs/profile.h) for the
 // final epsilon level: per-phase cost attribution, per-site contention
-// histograms, and blocked-by tables, written as JSON for tools/esr_profile
+// histograms, and blocked-by tables, written as JSON for `esr profile`
 // (and live profile.* gauges on /metrics while the level runs).
 // --health runs the windowed anomaly-detection engine (obs/health.h)
 // live: every 1 s wall-clock window the sampler feeds the commit/abort
 // deltas, active MPL, per-node headroom, and per-shard op deltas to the
 // detector set; open episodes surface as esr_alert_active{detector=...}
 // / esr_alert_count gauges on /metrics, and the alert journal is
-// written as JSON (readable by tools/esr_health --journal). These
+// written as JSON (readable by `esr health --journal`). These
 // windows are *wall-clock* — certification watermarks live in the
 // certifier's own epoch, so the stall detector is left to recorded-run
 // replay where both clocks are virtual (see DESIGN.md).
@@ -610,7 +610,7 @@ int main(int argc, char** argv) {
       // Merge the per-thread phase histograms into the registry before
       // the metrics JSON export and any lingering scrape, so both carry
       // the profile.phase_ms.* families; then write the full profile
-      // (threads, sites, blockers) for tools/esr_profile.
+      // (threads, sites, blockers) for `esr profile`.
       esr::GlobalProfiler().ExportPhaseHistograms(&server.metrics());
       esr::ProfileTxnTotals txn_totals;
       if (const esr::Histogram* lat =

@@ -101,7 +101,7 @@ void PrintAuditReport(const AuditReport& report, std::ostream& out,
 
 /// Machine-readable report (one JSON object). When `stream` is given, a
 /// "stream" sub-object carries the streaming certifier's verdict over the
-/// same events (tools/esr_audit runs both and diffs them).
+/// same events (`esr audit` runs both and diffs them).
 void WriteAuditJson(const AuditReport& report, std::ostream& out,
                     size_t top_n = 10,
                     const StreamCertification* stream = nullptr);

@@ -292,11 +292,11 @@ void WriteHealthJson(const HealthReport& report, std::ostream& out);
 Status WriteHealthJsonToFile(const HealthReport& report,
                              const std::string& path);
 
-/// Parses WriteHealthJson output (tools/esr_health --journal, tests).
+/// Parses WriteHealthJson output (`esr health --journal`, tests).
 Result<HealthReport> ReadHealthJson(std::istream& in);
 Result<HealthReport> ReadHealthJsonFile(const std::string& path);
 
-/// Human-readable report (tools/esr_health default output).
+/// Human-readable report (`esr health` default output).
 void WriteHealthText(const HealthReport& report, std::ostream& out);
 
 // -- Demo -------------------------------------------------------------------

@@ -24,6 +24,7 @@ class JsonParser {
 
   bool Parse(JsonValue* out) {
     pos_ = 0;
+    depth_ = 0;
     error_.clear();
     if (!ParseValue(out)) return false;
     SkipWhitespace();
@@ -58,9 +59,13 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        if (depth_ == kMaxJsonDepth) return Fail("nesting too deep");
+        ++depth_;
+        const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->type = JsonValue::Type::kString;
         return ParseString(&out->string);
@@ -210,6 +215,7 @@ class JsonParser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

@@ -384,7 +384,7 @@ class ScopedSiteWait {
 /// Commit-latency totals the attribution is checked against (the
 /// threaded server fills these from its client.txn_latency_ms
 /// histogram). Phase self-times must sum to within a few percent of
-/// total_ms — tools/esr_profile --check-coverage gates on it.
+/// total_ms — `esr profile --check-coverage` gates on it.
 struct ProfileTxnTotals {
   uint64_t count = 0;
   double total_ms = 0.0;
@@ -393,7 +393,7 @@ struct ProfileTxnTotals {
 /// Writes the snapshot as one JSON document:
 ///   {"profile": {"enabled": _, "txn": {...}, "phases": {...},
 ///                "threads": [...], "sites": [...]}}
-/// consumed by tools/esr_profile.
+/// consumed by `esr profile`.
 void WriteProfileJson(const ProfileSnapshot& snapshot,
                       const ProfileTxnTotals& txn, bool enabled,
                       std::ostream& out);

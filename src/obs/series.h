@@ -57,7 +57,7 @@ struct SeriesWindow {
 
 /// A whole run's time series: the tentpole telemetry record produced by
 /// sim::SeriesSampler and consumed by the exporters below, the bench
-/// harness (`--series`), and tools/esr_series.
+/// harness (`--series`), and `esr series`.
 struct RunSeries {
   /// Free-form provenance, e.g. "fig07 mpl=10 til=2.0 seed=23757".
   std::string source;
@@ -93,12 +93,12 @@ void WriteSeriesJson(const RunSeries& series, std::ostream& out);
 Status ExportSeriesCsvToFile(const RunSeries& series,
                              const std::string& path);
 
-/// Parses WriteSeriesCsv output (tools/esr_series round-trip). Rejects
+/// Parses WriteSeriesCsv output (`esr series` round-trip). Rejects
 /// malformed headers/rows with InvalidArgument naming the line.
 Result<RunSeries> ReadSeriesCsv(std::istream& in);
 Result<RunSeries> ReadSeriesCsvFile(const std::string& path);
 
-// -- Analysis (tools/esr_series, bench harness) -----------------------------
+// -- Analysis (`esr series`, bench harness) ---------------------------------
 
 /// Per-node digest over the whole run.
 struct SeriesNodeSummary {
@@ -141,7 +141,7 @@ struct SeriesSummary {
   double tightest_headroom_frac = 1.0;
   double tightest_limit = 0.0;
   /// Any window saw accumulated > limit — a bound violation the engine
-  /// should have prevented; tools/esr_series exits 2 on this.
+  /// should have prevented; `esr series` exits 2 on this.
   bool negative_headroom = false;
   /// Streaming certification rode along with the series (any window's
   /// certified_through_s >= 0).
@@ -157,7 +157,7 @@ struct SeriesSummary {
 
 SeriesSummary SummarizeSeries(const RunSeries& series);
 
-/// Writes `summary` as JSON (the esr_series --json output).
+/// Writes `summary` as JSON (the `esr series --json` output).
 void WriteSeriesSummaryJson(const SeriesSummary& summary, std::ostream& out);
 
 // -- Gauges -----------------------------------------------------------------
@@ -174,7 +174,7 @@ void ExportHeadroomGauges(const RunSeries& series, MetricRegistry* metrics);
 /// Deterministic synthetic series — a ramp-up followed by steady state —
 /// exercising every analysis path without running a simulation. With
 /// `with_violation`, one steady window carries a negative headroom
-/// fraction (esr_series --demo-negative, and the exit-code test).
+/// fraction (`esr series --demo-negative`, and the exit-code test).
 RunSeries BuildDemoSeries(bool with_violation);
 
 }  // namespace esr

@@ -303,7 +303,7 @@ class TraceRecorder {
 /// (TraceEvent::lane) instead of the transaction id, so a threaded-server
 /// capture renders as one Perfetto track per client thread; the
 /// transaction id moves into "args" ("txn") and nothing is lost —
-/// tools/esr_profile uses this to re-group a standard capture by thread.
+/// `esr profile` uses this to re-group a standard capture by thread.
 void WriteChromeTraceEvents(const std::vector<TraceEvent>& events,
                             std::ostream& out, uint64_t recorded,
                             uint64_t dropped, size_t capacity,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace esr {
 namespace {
 
@@ -199,6 +201,14 @@ struct WaitCase {
   int64_t requester_ts;
   int64_t writer_ts;
 };
+
+// Without this, gtest prints a WaitCase as a byte dump that includes its
+// padding bytes, and CMake's test discovery bakes that dump into the
+// ctest names.
+void PrintTo(const WaitCase& c, std::ostream* os) {
+  *os << (c.read ? "read" : "write") << " requester " << c.requester_ts
+      << " writer " << c.writer_ts;
+}
 
 class WaitDirectionTest : public ::testing::TestWithParam<WaitCase> {};
 

@@ -3,7 +3,8 @@
 // query/update workload at MPL 16-256 over 1/4/8/16 shards through the
 // worker-pool session multiplexer, with the global trace recording every
 // probe event, then proves from the captured artifacts that concurrency
-// never broke the paper's guarantees:
+// never broke the paper's guarantees (a -DESR_DISABLE_TRACING=ON build has
+// no trace, and proves only the commit-log and completion checks):
 //
 //   * every hierarchical bound check replays clean (BoundWalkReplayer:
 //     zero admitted charges past a declared limit, Sec. 5.3.1);
@@ -160,6 +161,13 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
   EXPECT_EQ(engine->num_active(), 0u);
   EXPECT_GT(result.elapsed_s, 0.0);
 
+#ifdef ESR_TRACE_DISABLED
+  // Probes are compiled out, so there is no stream to replay. This build
+  // certifies the run from the engine's per-shard commit log and the
+  // completion and quiescence checks alone.
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(dropped, 0u);
+#else
   // -- Trace is complete: a lossy capture cannot certify the full run. ----
   ASSERT_EQ(dropped, 0u) << "trace ring wrapped; shrink the configuration";
   ASSERT_FALSE(events.empty());
@@ -196,6 +204,7 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
   EXPECT_GT(cert.certified_through_s, 0.0);
   EXPECT_GE(cert.certified_through_s,
             static_cast<double>(max_ts - min_ts) / 1e6);
+#endif  // ESR_TRACE_DISABLED
 
   // -- Per-shard TO invariant: committed writes strictly increase in
   //    timestamp per object and live on the owning shard. ----------------

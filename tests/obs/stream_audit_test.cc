@@ -52,7 +52,7 @@ void ImportWalk(History* h, int64_t ts, TxnId txn, SiteId site,
                                        charge, til, /*admitted=*/true));
 }
 
-// The esr_audit --demo-violation history: a buggy engine admits 30 then
+// The `esr audit --demo-violation` history: a buggy engine admits 30 then
 // 40 against group 5 (limit 50), so the second walk leaves the node at 70
 // while the root check (limit 100) stays honest.
 std::vector<TraceEvent> DemoViolationHistory() {
