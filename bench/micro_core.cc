@@ -8,7 +8,7 @@
 #include "common/random.h"
 #include "hierarchy/accumulator.h"
 #include "storage/object_store.h"
-#include "txn/transaction_manager.h"
+#include "engine/sharded/sharded_engine.h"
 
 namespace esr {
 namespace {
@@ -18,6 +18,13 @@ ObjectStoreOptions StoreOpt() {
   opt.num_objects = 1000;
   opt.seed = 1;
   return opt;
+}
+
+/// The production TO engine: the sharded engine with one shard.
+ShardedEngineOptions OneShard() {
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  return options;
 }
 
 void BM_ObjectStoreRead(benchmark::State& state) {
@@ -81,10 +88,9 @@ void BM_AccumulatorCharge(benchmark::State& state) {
 BENCHMARK(BM_AccumulatorCharge);
 
 void BM_FullQueryTransaction(benchmark::State& state) {
-  ObjectStore store(StoreOpt());
   GroupSchema schema;
   MetricRegistry metrics;
-  TransactionManager manager(&store, &schema, &metrics);
+  ShardedEngine manager(OneShard(), StoreOpt(), &schema, &metrics);
   TimestampGenerator ts_gen(1);
   int64_t clock = 0;
   Rng rng(7);
@@ -103,10 +109,9 @@ void BM_FullQueryTransaction(benchmark::State& state) {
 BENCHMARK(BM_FullQueryTransaction)->Arg(8)->Arg(20);
 
 void BM_FullUpdateTransaction(benchmark::State& state) {
-  ObjectStore store(StoreOpt());
   GroupSchema schema;
   MetricRegistry metrics;
-  TransactionManager manager(&store, &schema, &metrics);
+  ShardedEngine manager(OneShard(), StoreOpt(), &schema, &metrics);
   TimestampGenerator ts_gen(1);
   int64_t clock = 0;
   Rng rng(7);

@@ -9,7 +9,7 @@
 #include "common/random.h"
 #include "hierarchy/accumulator.h"
 #include "storage/object_store.h"
-#include "txn/transaction_manager.h"
+#include "engine/sharded/sharded_engine.h"
 
 namespace esr {
 namespace {
@@ -51,10 +51,12 @@ void BM_InconsistentReadAtDepth(benchmark::State& state) {
   ObjectStoreOptions store_opt;
   store_opt.num_objects = 100;
   store_opt.seed = 1;
-  ObjectStore store(store_opt);
   GroupSchema schema = MakeChainSchema(depth, 100);
   MetricRegistry metrics;
-  TransactionManager manager(&store, &schema, &metrics);
+  // The production TO engine: the sharded engine with one shard.
+  ShardedEngineOptions one_shard;
+  one_shard.num_shards = 1;
+  ShardedEngine manager(one_shard, store_opt, &schema, &metrics);
   TimestampGenerator ts_gen(1);
   int64_t clock = 1'000'000;
 

@@ -8,61 +8,62 @@
 
 #include <cstdio>
 
-#include "sim/replica_cluster.h"
+#include "sim/cluster.h"
 
 namespace {
 
+using esr::ClusterOptions;
 using esr::Inconsistency;
-using esr::ReplicaCluster;
-using esr::ReplicaClusterOptions;
-using esr::ReplicaSimResult;
+using esr::SimResult;
 using esr::bench::JobsFromArgs;
 using esr::bench::ParallelFor;
 using esr::bench::RunScale;
 using esr::bench::Table;
 
-ReplicaClusterOptions BaseOptions(const RunScale& scale) {
-  ReplicaClusterOptions opt;
-  opt.update_clients = 4;
-  opt.replica_query_clients = 4;
-  opt.replication.num_replicas = 2;
-  opt.replication.propagation_delay_ms = 150.0;
+ClusterOptions BaseOptions(const RunScale& scale) {
+  ClusterOptions opt;
+  opt.mpl = 4;
+  opt.workload.query_fraction = 0.0;  // the primary runs update ETs only
+  opt.replicas.query_clients = 4;
+  opt.replicas.replication.num_replicas = 2;
+  opt.replicas.replication.propagation_delay_ms = 150.0;
   opt.warmup_s = scale.warmup_s;
   opt.measure_s = scale.measure_s;
   return opt;
 }
 
+/// One configuration's seeds merged: counts summed, the per-seed average
+/// staleness averaged.
+struct Merged {
+  SimResult total;
+  double avg_true_import = 0.0;
+};
+
 // Runs every (config, seed) pair across `jobs` workers and merges each
 // config's seeds on the calling thread, in seed order, so the output is
 // bit-identical to a serial run.
-std::vector<ReplicaSimResult> RunConfigs(
-    const std::vector<ReplicaClusterOptions>& configs, const RunScale& scale,
-    int jobs) {
+std::vector<Merged> RunConfigs(const std::vector<ClusterOptions>& configs,
+                               const RunScale& scale, int jobs) {
   const size_t seeds = static_cast<size_t>(scale.seeds);
-  std::vector<ReplicaSimResult> raw(configs.size() * seeds);
+  std::vector<SimResult> raw(configs.size() * seeds);
   ParallelFor(raw.size(), jobs, [&](size_t task) {
-    ReplicaClusterOptions opt = configs[task / seeds];
+    ClusterOptions opt = configs[task / seeds];
     opt.seed = static_cast<uint64_t>(task % seeds + 1) * 131;
     opt.owns_trace = jobs == 1;
-    raw[task] = ReplicaCluster(opt).Run();
+    raw[task] = esr::RunCluster(opt);
   });
 
-  std::vector<ReplicaSimResult> merged(configs.size());
+  std::vector<Merged> merged(configs.size());
   for (size_t c = 0; c < configs.size(); ++c) {
-    ReplicaSimResult total;
+    Merged& m = merged[c];
     for (size_t seed = 0; seed < seeds; ++seed) {
-      const ReplicaSimResult& r = raw[c * seeds + seed];
-      total.elapsed_s += r.elapsed_s;
-      total.primary_commits += r.primary_commits;
-      total.primary_aborts += r.primary_aborts;
-      total.queries_attempted += r.queries_attempted;
-      total.queries_admitted += r.queries_admitted;
-      total.avg_estimated_import += r.avg_estimated_import;
-      total.avg_true_import += r.avg_true_import;
+      const SimResult& r = raw[c * seeds + seed];
+      m.total.elapsed_s += r.elapsed_s;
+      m.total.committed += r.committed;
+      m.total.replica_queries += r.replica_queries;
+      m.avg_true_import += r.replica_queries.avg_true_import();
     }
-    total.avg_estimated_import /= scale.seeds;
-    total.avg_true_import /= scale.seeds;
-    merged[c] = total;
+    m.avg_true_import /= scale.seeds;
   }
   return merged;
 }
@@ -82,19 +83,19 @@ int main(int argc, char** argv) {
                                     esr::kUnbounded};
   const int kFanouts[] = {1, 2, 4, 8, 16};
 
-  std::vector<ReplicaClusterOptions> configs;
+  std::vector<ClusterOptions> configs;
   for (const Inconsistency til : kBudgets) {
     auto opt = BaseOptions(scale);
-    opt.query_til = til;
+    opt.replicas.query_til = til;
     configs.push_back(opt);
   }
   for (const int clients : kFanouts) {
     auto opt = BaseOptions(scale);
-    opt.query_til = 10'000;
-    opt.replica_query_clients = clients;
+    opt.replicas.query_til = 10'000;
+    opt.replicas.query_clients = clients;
     configs.push_back(opt);
   }
-  const std::vector<ReplicaSimResult> results =
+  const std::vector<Merged> results =
       RunConfigs(configs, scale, JobsFromArgs(argc, argv));
   size_t point = 0;
 
@@ -102,12 +103,15 @@ int main(int argc, char** argv) {
   Table budget({"query TIL", "admit%", "query tput", "true staleness",
                 "primary tput"});
   for (const Inconsistency til : kBudgets) {
-    const ReplicaSimResult& r = results[point++];
+    const Merged& m = results[point++];
+    const SimResult& r = m.total;
     budget.AddRow({til == esr::kUnbounded ? "inf" : Table::Int(til),
-                   Table::Num(100.0 * r.admitted_fraction(), 0) + "%",
-                   Table::Num(r.query_throughput(), 1),
-                   Table::Num(r.avg_true_import, 0),
-                   Table::Num(r.primary_throughput(), 1)});
+                   Table::Num(100.0 * r.replica_queries.admitted_fraction(),
+                              0) +
+                       "%",
+                   Table::Num(r.replica_query_throughput(), 1),
+                   Table::Num(m.avg_true_import, 0),
+                   Table::Num(r.throughput(), 1)});
   }
   budget.Print();
 
@@ -116,10 +120,10 @@ int main(int argc, char** argv) {
               "capacity:\n");
   Table fanout({"query clients", "query tput", "primary tput"});
   for (const int clients : kFanouts) {
-    const ReplicaSimResult& r = results[point++];
+    const SimResult& r = results[point++].total;
     fanout.AddRow({std::to_string(clients),
-                   Table::Num(r.query_throughput(), 1),
-                   Table::Num(r.primary_throughput(), 1)});
+                   Table::Num(r.replica_query_throughput(), 1),
+                   Table::Num(r.throughput(), 1)});
   }
   fanout.Print();
   return 0;

@@ -48,7 +48,8 @@ Outcome RunOnce(double delay_ms, Inconsistency til, uint64_t seed) {
   replication.propagation_delay_ms = delay_ms;
   ServerOptions server;
   server.store.num_objects = 1000;
-  ReplicatedDatabase db(replication, server);
+  esr::Server primary(server);
+  ReplicatedDatabase db(replication, &primary);
 
   WorkloadSpec spec;
   WorkloadGenerator generator(spec, seed);
@@ -63,20 +64,21 @@ Outcome RunOnce(double delay_ms, Inconsistency til, uint64_t seed) {
     // One primary update ET (committed immediately; the primary itself is
     // exercised end-to-end in the main benches).
     const TxnScript update = generator.NextUpdate();
-    const TxnId txn = db.Begin(TxnType::kUpdate,
-                               Timestamp{ts_counter++, 1}, update.bounds);
+    const TxnId txn = primary.Begin(TxnType::kUpdate,
+                                    Timestamp{ts_counter++, 1},
+                                    update.bounds);
     std::vector<esr::Value> reads;
     bool aborted = false;
     for (const ScriptOp& op : update.ops) {
       OpResult r;
       if (op.kind == ScriptOp::Kind::kRead) {
-        r = db.Read(txn, op.object);
+        r = primary.Read(txn, op.object);
         if (r.ok()) reads.push_back(r.value);
       } else {
-        r = db.Write(txn, op.object,
-                     esr::ApplyDeltaReflecting(
-                         reads[static_cast<size_t>(op.source_read)],
-                         op.delta, spec.min_value, spec.max_value));
+        r = primary.Write(txn, op.object,
+                          esr::ApplyDeltaReflecting(
+                              reads[static_cast<size_t>(op.source_read)],
+                              op.delta, spec.min_value, spec.max_value));
       }
       if (!r.ok()) {
         aborted = true;
@@ -84,7 +86,7 @@ Outcome RunOnce(double delay_ms, Inconsistency til, uint64_t seed) {
       }
     }
     if (!aborted) (void)db.Commit(txn, now);
-    else if (db.primary().engine().IsActive(txn)) (void)db.Abort(txn);
+    else if (primary.engine().IsActive(txn)) (void)primary.Abort(txn);
 
     // Time advances ~ one update per 150 ms of virtual time.
     now += 150 * kMicrosPerMilli;

@@ -122,6 +122,6 @@ int main() {
     if (!txn.Commit().ok()) return 1;
   }
   std::printf("\nall pending bookings committed; exact free seats = %lld\n",
-              static_cast<long long>(db.server().store().TotalValue()));
+              static_cast<long long>(db.server().TotalValue()));
   return 0;
 }

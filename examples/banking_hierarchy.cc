@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nall deposits committed; exact total now $%lld\n",
               static_cast<long long>(
-                  bank.db.server().store().TotalValue()));
+                  bank.db.server().TotalValue()));
 
   if (!trace_path.empty()) {
     esr::GlobalTrace().set_enabled(false);

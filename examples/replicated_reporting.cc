@@ -25,7 +25,8 @@ int main() {
   replication.propagation_delay_ms = 250;
   esr::ServerOptions server;
   server.store.num_objects = kAccounts;
-  esr::ReplicatedDatabase db(replication, server);
+  esr::Server primary(server);
+  esr::ReplicatedDatabase db(replication, &primary);
 
   std::vector<esr::ObjectId> all;
   for (esr::ObjectId id = 0; id < kAccounts; ++id) all.push_back(id);
@@ -39,16 +40,16 @@ int main() {
     for (int i = 0; i < count; ++i) {
       const esr::ObjectId account =
           static_cast<esr::ObjectId>(rng.UniformInt(0, kAccounts - 1));
-      const esr::TxnId txn = db.Begin(esr::TxnType::kUpdate,
-                                      esr::Timestamp{ts++, 1},
-                                      esr::BoundSpec());
-      const esr::OpResult r = db.Read(txn, account);
+      const esr::TxnId txn = primary.Begin(esr::TxnType::kUpdate,
+                                           esr::Timestamp{ts++, 1},
+                                           esr::BoundSpec());
+      const esr::OpResult r = primary.Read(txn, account);
       if (r.ok() &&
-          db.Write(txn, account, r.value + rng.UniformInt(-300, 300))
+          primary.Write(txn, account, r.value + rng.UniformInt(-300, 300))
               .ok()) {
         if (db.Commit(txn, now).ok()) ++committed;
-      } else if (db.primary().engine().IsActive(txn)) {
-        (void)db.Abort(txn);
+      } else if (primary.engine().IsActive(txn)) {
+        (void)primary.Abort(txn);
       }
       now += 40 * esr::kMicrosPerMilli;  // one update every 40 ms
       db.AdvanceTo(now);
@@ -83,7 +84,7 @@ int main() {
   now += 300 * esr::kMicrosPerMilli;
   db.AdvanceTo(now);
   report(0, 0);  // now fully fresh: even the SR report succeeds
-  const esr::Value primary_total = db.primary().store().TotalValue();
+  const esr::Value primary_total = primary.TotalValue();
   std::printf("\nprimary total for comparison: %lld\n",
               static_cast<long long>(primary_total));
   return 0;

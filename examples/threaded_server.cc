@@ -11,8 +11,8 @@
 //             [--shards N] [--workers N] [--objects N] [--batch]
 //
 // The default run is the historical loopback demo: one OS thread per
-// client against the single-latch engine. The scaling flags opt into the
-// sharded engine and the batched worker pool:
+// client against the TO engine (one shard). The scaling flags opt into
+// more shards and the batched worker pool:
 //
 //   --shards N    run the sharded TO engine with N shards (per-shard
 //                 latch, arena history, group commit); per-shard
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   bool certify = false;
   int metrics_port = -1;
   int metrics_linger_ms = 0;
-  int num_shards = 0;    // 0 = historical single-latch engine
+  int num_shards = 0;    // 0 = the TO engine (one shard)
   int num_workers = 0;   // 0 = one OS thread per client
   int num_objects = 1000;
   int hot_set = 0;  // 0 = keep the workload spec default

@@ -23,18 +23,7 @@ constexpr int kMaxWaitRetries = 20'000;
 Database::Database(const ServerOptions& options) : server_(options) {}
 
 Status Database::LoadValue(ObjectId object, Value value) {
-  if (ShardedEngine* sharded = server_.sharded_engine()) {
-    if (!sharded->ContainsObject(object)) {
-      return Status::NotFound("object " + std::to_string(object));
-    }
-    ObjectRecord& rec = sharded->ObjectAt(object);
-    ESR_CHECK(!rec.has_uncommitted_write())
-        << "LoadValue during active transactions";
-    rec.ApplyWrite(/*txn=*/UINT64_MAX, Timestamp::Min(), value);
-    rec.CommitWrite(/*txn=*/UINT64_MAX);
-    return Status::OK();
-  }
-  if (!server_.store().Contains(object)) {
+  if (!server_.ContainsObject(object)) {
     return Status::NotFound("object " + std::to_string(object));
   }
   if (server_.options().engine == EngineKind::kMultiversion) {
@@ -53,7 +42,7 @@ Status Database::LoadValue(ObjectId object, Value value) {
     chain.CommitVersions(UINT64_MAX);
     return Status::OK();
   }
-  ObjectRecord& rec = server_.store().Get(object);
+  ObjectRecord& rec = server_.object(object);
   ESR_CHECK(!rec.has_uncommitted_write())
       << "LoadValue during active transactions";
   // Model the load as a committed system write older than everything.
@@ -63,26 +52,17 @@ Status Database::LoadValue(ObjectId object, Value value) {
 }
 
 Result<Value> Database::PeekValue(ObjectId object) const {
-  if (server_.options().engine == EngineKind::kSharded) {
-    ShardedEngine* sharded =
-        const_cast<Server&>(server_).sharded_engine();
-    if (!sharded->ContainsObject(object)) {
-      return Status::NotFound("object " + std::to_string(object));
-    }
-    return sharded->ObjectAt(object).value();
+  if (!server_.ContainsObject(object)) {
+    return Status::NotFound("object " + std::to_string(object));
   }
-  if (server_.options().engine == EngineKind::kMultiversion) {
-    if (!server_.store().Contains(object)) {
-      return Status::NotFound("object " + std::to_string(object));
-    }
-    const auto& manager =
-        static_cast<const MvtoManager&>(server_.engine());
-    return const_cast<MvtoManager&>(manager)
+  Server& server = const_cast<Server&>(server_);
+  if (server.options().engine == EngineKind::kMultiversion) {
+    return static_cast<MvtoManager&>(server.engine())
         .store()
         .Get(object)
         .LatestCommittedValue();
   }
-  return server_.store().ReadValue(object);
+  return server.object(object).value();
 }
 
 Session Database::CreateSession(SiteId site) {

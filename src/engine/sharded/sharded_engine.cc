@@ -88,23 +88,40 @@ Transaction* ShardedEngine::FindLive(TxnId txn) {
 
 TxnId ShardedEngine::Begin(TxnType type, Timestamp ts,
                            const BoundSpec& bounds) {
+  return BeginWith(type, ts, bounds, nullptr);
+}
+
+TxnId ShardedEngine::BeginUpdateWithImport(Timestamp ts,
+                                           const BoundSpec& export_bounds,
+                                           const BoundSpec& import_bounds) {
+  return BeginWith(TxnType::kUpdate, ts, export_bounds, &import_bounds);
+}
+
+TxnId ShardedEngine::BeginWith(TxnType type, Timestamp ts,
+                               const BoundSpec& bounds,
+                               const BoundSpec* import_bounds) {
   ScopedPhaseTimer phase(ProfilePhase::kValidate);
   const TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   TxnStripe& stripe = StripeFor(id);
   Transaction* txn;
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
+    std::unique_ptr<Transaction> shell;
     if (!stripe.pool.empty()) {
-      std::unique_ptr<Transaction> shell = std::move(stripe.pool.back());
+      shell = std::move(stripe.pool.back());
       stripe.pool.pop_back();
-      shell->ResetForReuse(id, type, ts, bounds);
-      txn = stripe.map.TryEmplace(id, std::move(shell)).first->get();
+      if (import_bounds != nullptr) {
+        shell->ResetForReuse(id, ts, bounds, *import_bounds);
+      } else {
+        shell->ResetForReuse(id, type, ts, bounds);
+      }
+    } else if (import_bounds != nullptr) {
+      shell = std::make_unique<Transaction>(id, ts, schema_, bounds,
+                                            *import_bounds);
     } else {
-      txn = stripe.map
-                .TryEmplace(id, std::make_unique<Transaction>(id, type, ts,
-                                                              schema_, bounds))
-                .first->get();
+      shell = std::make_unique<Transaction>(id, type, ts, schema_, bounds);
     }
+    txn = stripe.map.TryEmplace(id, std::move(shell)).first->get();
   }
   counters_.RecordBegin(*txn, access_hint_.load(std::memory_order_relaxed),
                         headroom_tracker_.load(std::memory_order_relaxed));

@@ -79,8 +79,8 @@ struct OpBatch {
 ///    every transaction and wakes its waiter. Followers block on the
 ///    condition variable — the group amortizes latch traffic under high
 ///    MPL.
-///  * Per-transaction accumulators work exactly as in the single-latch
-///    engine (same trace events, so BoundWalkReplayer / StreamCertifier
+///  * Per-transaction accumulators work the same at any shard count
+///    (same trace events, so BoundWalkReplayer / StreamCertifier
 ///    recertify unchanged). An optional engine-wide budget
 ///    (SetSharedBounds) is enforced by lock-free ShardedAccumulators on
 ///    top: shared charge first, transaction charge second, shared
@@ -114,8 +114,15 @@ class ShardedEngine final : public TransactionEngine {
   bool IsActive(TxnId txn) const override;
   const Transaction* Find(TxnId txn) const override;
   size_t num_active() const override;
-  EngineKind kind() const override { return EngineKind::kSharded; }
   void SetHeadroomTracker(NodeHeadroomTracker* tracker) override;
+
+  /// Starts an update ET that may also IMPORT inconsistency through its
+  /// reads (Sec. 1 generalization; not part of the paper's evaluation):
+  /// `export_bounds` is the TEL declaration, `import_bounds` the budget
+  /// its relaxed reads are charged against. With a zero import budget
+  /// this is identical to Begin(kUpdate, ...).
+  TxnId BeginUpdateWithImport(Timestamp ts, const BoundSpec& export_bounds,
+                              const BoundSpec& import_bounds);
 
   // -- Batched submission --------------------------------------------------
   /// Executes every op in `batch.reqs`, filling `batch.results`. Ops are
@@ -169,6 +176,10 @@ class ShardedEngine final : public TransactionEngine {
     return shards_[map_.ShardOf(id)]->store().Get(map_.LocalId(id));
   }
 
+  /// One partition (its store slice and data manager), for tests
+  /// (quiescent only — no latch is taken).
+  Shard& shard(size_t s) { return *shards_[s]; }
+
   /// Group-commit batches the leader processed (relaxed).
   int64_t commit_batches() const {
     return commit_batches_total_.load(std::memory_order_relaxed);
@@ -206,6 +217,11 @@ class ShardedEngine final : public TransactionEngine {
   Shard& ShardForObject(ObjectId object) {
     return *shards_[map_.ShardOf(object)];
   }
+
+  /// Begin and BeginUpdateWithImport (`import_bounds` non-null): registers
+  /// the transaction, recycling a pooled shell when its stripe has one.
+  TxnId BeginWith(TxnType type, Timestamp ts, const BoundSpec& bounds,
+                  const BoundSpec* import_bounds);
 
   /// Live transaction lookup; the caller must be its owning session (the
   /// pointer stays valid because only the owner can finish it).

@@ -38,7 +38,6 @@ class MvtoManager final : public TransactionEngine {
   bool IsActive(TxnId txn) const override;
   const Transaction* Find(TxnId txn) const override;
   size_t num_active() const override;
-  EngineKind kind() const override { return EngineKind::kMultiversion; }
 
   VersionStore& store() { return store_; }
 

@@ -9,74 +9,43 @@
 namespace esr {
 
 ReplicatedDatabase::ReplicatedDatabase(const ReplicationOptions& replication,
-                                       const ServerOptions& server_options)
-    : options_(replication), primary_(server_options) {
+                                       Server* primary)
+    : options_(replication), primary_(primary) {
+  ESR_CHECK(primary_ != nullptr);
   ESR_CHECK(options_.num_replicas >= 1);
+  const size_t num_objects = primary_->options().store.num_objects;
   replicas_.resize(static_cast<size_t>(options_.num_replicas));
   for (ReplicaState& replica : replicas_) {
-    replica.values.resize(primary_.store().size());
-    for (ObjectId id = 0; id < primary_.store().size(); ++id) {
-      replica.values[id] = primary_.store().Get(id).value();
+    replica.values.resize(num_objects);
+    for (ObjectId id = 0; id < num_objects; ++id) {
+      replica.values[id] = primary_->object(id).value();
     }
   }
-}
-
-TxnId ReplicatedDatabase::Begin(TxnType type, Timestamp ts,
-                                BoundSpec bounds) {
-  return primary_.Begin(type, ts, std::move(bounds));
-}
-
-OpResult ReplicatedDatabase::Read(TxnId txn, ObjectId object) {
-  const OpResult r = primary_.Read(txn, object);
-  if (r.kind == OpResult::Kind::kAbort) txn_writes_.erase(txn);
-  return r;
-}
-
-OpResult ReplicatedDatabase::Write(TxnId txn, ObjectId object, Value value) {
-  // Capture the committed pre-image before the engine applies in place.
-  // (If another transaction held an uncommitted write, the engine returns
-  // kWait/kAbort and nothing is recorded, so `previous` is always the
-  // committed value on the recording path.)
-  const Value previous = primary_.store().Get(object).value();
-  const OpResult r = primary_.Write(txn, object, value);
-  if (r.kind == OpResult::Kind::kAbort) {
-    txn_writes_.erase(txn);
-    return r;
-  }
-  if (r.kind != OpResult::Kind::kOk) return r;
-  auto& writes = txn_writes_[txn];
-  // Overwrite-by-same-txn keeps the original pre-image.
-  for (PendingTxnWrite& w : writes) {
-    if (w.object == object) {
-      w.value = value;
-      return r;
-    }
-  }
-  writes.push_back(PendingTxnWrite{object, value, previous});
-  return r;
 }
 
 Status ReplicatedDatabase::Commit(TxnId txn, SimTime now) {
-  const Status status = primary_.Commit(txn);
-  if (!status.ok()) return status;
-  auto it = txn_writes_.find(txn);
-  if (it != txn_writes_.end()) {
-    for (const PendingTxnWrite& w : it->second) {
-      const Inconsistency weight = static_cast<Inconsistency>(
-          std::llabs(w.value - w.previous_committed));
-      for (ReplicaState& replica : replicas_) {
-        replica.queue.push_back(QueuedWrite{w.object, w.value, weight, now});
-        replica.pending_weight[w.object] += weight;
-      }
+  // Each pending write sits in place with its shadow pre-image; strict
+  // ordering admits no other writer on the object meanwhile, so the
+  // shadow is the committed value the write replaced.
+  committing_.clear();
+  if (const Transaction* t = primary_->engine().Find(txn)) {
+    for (const ObjectId object : t->pending_writes()) {
+      const ObjectRecord& rec = primary_->object(object);
+      committing_.push_back(QueuedWrite{
+          object, rec.value(),
+          static_cast<Inconsistency>(
+              std::llabs(rec.value() - rec.shadow_value())),
+          now});
     }
-    txn_writes_.erase(it);
+  }
+  ESR_RETURN_NOT_OK(primary_->Commit(txn));
+  for (ReplicaState& replica : replicas_) {
+    for (const QueuedWrite& write : committing_) {
+      replica.queue.push_back(write);
+      replica.pending_weight[write.object] += write.weight;
+    }
   }
   return Status::OK();
-}
-
-Status ReplicatedDatabase::Abort(TxnId txn) {
-  txn_writes_.erase(txn);
-  return primary_.Abort(txn);
 }
 
 void ReplicatedDatabase::ApplyFront(ReplicaState* replica) {
@@ -121,7 +90,11 @@ size_t ReplicatedDatabase::PendingWrites(int replica) const {
 
 Value ReplicatedDatabase::PeekReplica(int replica, ObjectId object) const {
   ESR_CHECK(replica >= 0 && replica < options_.num_replicas);
-  return replicas_[static_cast<size_t>(replica)].values[object];
+  const std::vector<Value>& values =
+      replicas_[static_cast<size_t>(replica)].values;
+  ESR_CHECK(static_cast<size_t>(object) < values.size())
+      << "object " << object << " out of range";
+  return values[object];
 }
 
 Result<ReplicatedDatabase::ReplicaRead> ReplicatedDatabase::ReadAtReplica(
@@ -129,7 +102,7 @@ Result<ReplicatedDatabase::ReplicaRead> ReplicatedDatabase::ReadAtReplica(
   if (replica < 0 || replica >= options_.num_replicas) {
     return Status::NotFound("replica " + std::to_string(replica));
   }
-  if (!primary_.store().Contains(object)) {
+  if (!primary_->ContainsObject(object)) {
     return Status::NotFound("object " + std::to_string(object));
   }
   const Inconsistency estimate = DivergenceEstimate(replica, object);
@@ -144,7 +117,7 @@ Result<ReplicatedDatabase::ReplicaRead> ReplicatedDatabase::ReadAtReplica(
   // Instrumentation: exact divergence against the primary's committed
   // state. An uncommitted primary write is not yet queued, so compare
   // against the shadow-free committed value via the history.
-  const ObjectRecord& rec = primary_.store().Get(object);
+  const ObjectRecord& rec = primary_->object(object);
   const Value primary_committed =
       rec.has_uncommitted_write()
           ? rec.ProperValueFor(Timestamp::Max()).value_or(rec.value())

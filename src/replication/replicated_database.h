@@ -42,24 +42,20 @@ struct ReplicationOptions {
 /// tests can verify estimate >= truth (soundness of the control).
 class ReplicatedDatabase {
  public:
-  ReplicatedDatabase(const ReplicationOptions& replication,
-                     const ServerOptions& server_options);
+  /// `primary` (the full ESR engine) must outlive the replication layer;
+  /// its objects' present values seed every replica.
+  ReplicatedDatabase(const ReplicationOptions& replication, Server* primary);
 
-  /// The primary transaction server (full ESR engine).
-  Server& primary() { return primary_; }
+  Server& primary() { return *primary_; }
 
   int num_replicas() const { return options_.num_replicas; }
 
-  // -- Primary-side transactional writes ----------------------------------
-  /// Wrappers over the primary engine that additionally capture committed
-  /// writes for propagation. Use these instead of primary() for updates.
-  TxnId Begin(TxnType type, Timestamp ts, BoundSpec bounds);
-  OpResult Read(TxnId txn, ObjectId object);
-  OpResult Write(TxnId txn, ObjectId object, Value value);
-  /// On successful commit, the transaction's writes enter every replica's
-  /// propagation queue stamped `now`.
+  /// Commits `txn` on the primary. On success its writes enter every
+  /// replica's propagation queue stamped `now`: each object's new value
+  /// and the committed pre-image it replaced, read from the engine's
+  /// shadow just before the commit. Everything else a primary
+  /// transaction does goes straight to primary().
   Status Commit(TxnId txn, SimTime now);
-  Status Abort(TxnId txn);
 
   // -- Replication engine --------------------------------------------------
   /// Applies every queued write that has been in flight for at least the
@@ -125,16 +121,10 @@ class ReplicatedDatabase {
   void ApplyFront(ReplicaState* replica);
 
   ReplicationOptions options_;
-  Server primary_;
+  Server* primary_;
   std::vector<ReplicaState> replicas_;
-  /// Writes of in-flight primary transactions: object -> last value, plus
-  /// the pre-write committed value for weight computation.
-  struct PendingTxnWrite {
-    ObjectId object;
-    Value value;
-    Value previous_committed;
-  };
-  std::unordered_map<TxnId, std::vector<PendingTxnWrite>> txn_writes_;
+  /// Commit scratch: the committing transaction's writes.
+  std::vector<QueuedWrite> committing_;
 };
 
 }  // namespace esr

@@ -1,6 +1,7 @@
 #include "sim/client.h"
 
 #include "common/logging.h"
+#include "replication/replicated_database.h"
 
 namespace esr {
 
@@ -24,9 +25,10 @@ ClientStats& ClientStats::operator-=(const ClientStats& other) {
 
 SimClient::SimClient(SiteId site, Server* server, EventQueue* queue,
                      LatencyModel* latency, WorkloadGenerator generator,
-                     SkewedClock clock)
+                     SkewedClock clock, ReplicatedDatabase* replication)
     : site_(site),
       server_(server),
+      replication_(replication),
       queue_(queue),
       latency_(latency),
       generator_(std::move(generator)),
@@ -56,11 +58,11 @@ void SimClient::BeginCurrentTransaction() {
   const SimTime request_travel = ctrl / 2;
   const SimTime response_travel = ctrl - request_travel;
   queue_->ScheduleAfter(request_travel, [this, ts, response_travel] {
+    ShardedEngine* const to_engine = server_->sharded_engine();
     if (script_.type == TxnType::kUpdate &&
-        script_.update_import_limit > 0 &&
-        server_->options().engine == EngineKind::kTimestampOrdering) {
+        script_.update_import_limit > 0 && to_engine != nullptr) {
       // The Sec. 1 generalization: update ETs with an import budget.
-      txn_ = server_->txn_manager().BeginUpdateWithImport(
+      txn_ = to_engine->BeginUpdateWithImport(
           ts, script_.bounds,
           BoundSpec::TransactionOnly(script_.update_import_limit));
     } else {
@@ -168,7 +170,9 @@ void SimClient::IssueCommit() {
   queue_->ScheduleAfter(request_travel, [this, commit_rpc, response_travel] {
     {
       ScopedSpanParent rpc(commit_rpc);
-      const Status status = server_->Commit(txn_);
+      const Status status = replication_ != nullptr
+                                ? replication_->Commit(txn_, queue_->now())
+                                : server_->Commit(txn_);
       ESR_CHECK(status.ok()) << status.ToString();
     }
     queue_->ScheduleAfter(response_travel, [this, commit_rpc] {

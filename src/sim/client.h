@@ -15,6 +15,8 @@
 
 namespace esr {
 
+class ReplicatedDatabase;
+
 /// Per-client counters; the cluster aggregates them over the measurement
 /// window to produce the figures' metrics.
 struct ClientStats {
@@ -59,9 +61,11 @@ struct ClientStats {
 /// response travel back.
 class SimClient {
  public:
+  /// With `replication` set, `server` is its primary and commits go
+  /// through the replication layer, so committed writes propagate.
   SimClient(SiteId site, Server* server, EventQueue* queue,
             LatencyModel* latency, WorkloadGenerator generator,
-            SkewedClock clock);
+            SkewedClock clock, ReplicatedDatabase* replication = nullptr);
 
   SimClient(const SimClient&) = delete;
   SimClient& operator=(const SimClient&) = delete;
@@ -95,6 +99,7 @@ class SimClient {
 
   SiteId site_;
   Server* server_;
+  ReplicatedDatabase* replication_;
   EventQueue* queue_;
   LatencyModel* latency_;
   WorkloadGenerator generator_;

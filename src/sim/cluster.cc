@@ -20,6 +20,91 @@ int64_t VirtualNowMicros(void* ctx) {
 
 }  // namespace
 
+ReplicaQueryStats& ReplicaQueryStats::operator-=(
+    const ReplicaQueryStats& other) {
+  attempted -= other.attempted;
+  admitted -= other.admitted;
+  estimated_import -= other.estimated_import;
+  true_import -= other.true_import;
+  return *this;
+}
+
+ReplicaQueryStats& ReplicaQueryStats::operator+=(
+    const ReplicaQueryStats& other) {
+  attempted += other.attempted;
+  admitted += other.admitted;
+  estimated_import += other.estimated_import;
+  true_import += other.true_import;
+  return *this;
+}
+
+/// A dashboard client running bounded sum queries against one replica.
+/// Replica reads are local to the replica machine: they cost one RPC
+/// round trip but no primary CPU. Latency is drawn from the client's own
+/// stream, so dashboard load never perturbs the primary clients' draws.
+class Cluster::ReplicaQueryClient {
+ public:
+  ReplicaQueryClient(Cluster* cluster, int replica, uint64_t seed)
+      : cluster_(cluster), replica_(replica), rng_(seed) {}
+
+  void Start(SimTime at) {
+    cluster_->queue_.ScheduleAt(at, [this] { IssueQuery(); });
+  }
+
+  const ReplicaQueryStats& stats() const { return stats_; }
+
+ private:
+  void IssueQuery() {
+    // One RPC to the replica covers the whole local scan.
+    const ClusterOptions& options = cluster_->options_;
+    const SimTime rpc = static_cast<SimTime>(
+        rng_.UniformDouble(options.latency.op_rpc_min_ms,
+                           options.latency.op_rpc_max_ms) *
+        kMicrosPerMilli);
+    cluster_->queue_.ScheduleAfter(rpc, [this] { RunQuery(); });
+  }
+
+  void RunQuery() {
+    const ClusterOptions& options = cluster_->options_;
+    EventQueue& queue = cluster_->queue_;
+    ReplicatedDatabase& db = *cluster_->replication_;
+    db.AdvanceTo(queue.now());
+    objects_.clear();
+    const size_t hot = options.workload.hot_set_size;
+    while (objects_.size() <
+               static_cast<size_t>(options.replicas.query_objects) &&
+           objects_.size() < hot) {
+      const ObjectId candidate = static_cast<ObjectId>(
+          rng_.UniformInt(0, static_cast<int64_t>(hot) - 1));
+      if (std::find(objects_.begin(), objects_.end(), candidate) ==
+          objects_.end()) {
+        objects_.push_back(candidate);
+      }
+    }
+    ++stats_.attempted;
+    const auto q =
+        db.ReplicaSumQuery(replica_, objects_, options.replicas.query_til);
+    SimTime next;
+    if (q.ok()) {
+      ++stats_.admitted;
+      stats_.estimated_import += q->estimated_import;
+      stats_.true_import += q->true_import;
+      next = static_cast<SimTime>(options.latency.null_rpc_ms *
+                                  kMicrosPerMilli);
+    } else {
+      next = static_cast<SimTime>(options.replicas.query_retry_ms *
+                                  kMicrosPerMilli);
+    }
+    queue.ScheduleAfter(next, [this] { IssueQuery(); });
+  }
+
+  Cluster* cluster_;
+  int replica_;
+  Rng rng_;
+  ReplicaQueryStats stats_;
+  std::vector<ObjectId> objects_;
+};
+
 std::string SimResult::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -47,6 +132,11 @@ Cluster::Cluster(const ClusterOptions& options)
   server_options.store.max_value = options_.workload.max_value;
   server_options.store.seed = options_.seed ^ 0x5eedull;
   server_ = std::make_unique<Server>(server_options);
+  const ReplicaOptions& replicas = options_.replicas;
+  if (replicas.query_clients > 0) {
+    replication_ = std::make_unique<ReplicatedDatabase>(replicas.replication,
+                                                        server_.get());
+  }
 
   // Pre-size the engine's transaction and lock tables for the steady
   // state: MPL concurrent transactions, each touching at most the
@@ -71,7 +161,11 @@ Cluster::Cluster(const ClusterOptions& options)
     SkewedClock clock(site, options_.skew, &skew_rng);
     clients_.push_back(std::make_unique<SimClient>(
         site, server_.get(), &queue_, latency_.get(), std::move(generator),
-        clock));
+        clock, replication_.get()));
+  }
+  for (int i = 0; i < replicas.query_clients; ++i) {
+    query_clients_.push_back(std::make_unique<ReplicaQueryClient>(
+        this, i % replicas.replication.num_replicas, master.NextU64()));
   }
   if (options_.collect_series) {
     SeriesSamplerOptions sampler_options;
@@ -90,11 +184,18 @@ Cluster::Cluster(const ClusterOptions& options)
             total.op_responses += s.op_responses;
             total.op_latency_total_us += s.op_latency_total_us;
           }
+          for (const auto& client : query_clients_) {
+            // A rejected replica query is retried after a delay.
+            const ReplicaQueryStats& q = client->stats();
+            total.restarts += q.attempted - q.admitted;
+          }
           return total;
         },
         sampler_options);
   }
 }
+
+Cluster::~Cluster() = default;
 
 SimResult Cluster::Run() {
   // Only a run that owns the global recorder may touch its shared state
@@ -138,6 +239,9 @@ SimResult Cluster::Run() {
   for (size_t i = 0; i < clients_.size(); ++i) {
     clients_[i]->Start(static_cast<SimTime>(i) * 3 * kMicrosPerMilli);
   }
+  for (size_t i = 0; i < query_clients_.size(); ++i) {
+    query_clients_[i]->Start(static_cast<SimTime>(i) * 5 * kMicrosPerMilli);
+  }
   if (sampler_ != nullptr) {
     sampler_->ScheduleWindows(options_.warmup_s + options_.measure_s);
   }
@@ -154,6 +258,11 @@ SimResult Cluster::Run() {
   for (const auto& client : clients_) {
     at_warmup.push_back(client->stats());
     client->ResetLatencyHistogram();
+  }
+  std::vector<ReplicaQueryStats> queries_at_warmup;
+  queries_at_warmup.reserve(query_clients_.size());
+  for (const auto& client : query_clients_) {
+    queries_at_warmup.push_back(client->stats());
   }
 
   queue_.RunUntil(measure_end);
@@ -178,6 +287,11 @@ SimResult Cluster::Run() {
     result.txn_latency_total_us +=
         static_cast<double>(delta.txn_latency_total_us);
     result.latency_ms.Merge(clients_[i]->latency_histogram());
+  }
+  for (size_t i = 0; i < query_clients_.size(); ++i) {
+    ReplicaQueryStats delta = query_clients_[i]->stats();
+    delta -= queries_at_warmup[i];
+    result.replica_queries += delta;
   }
   if (sampler_ != nullptr) result.series = sampler_->TakeSeries();
   if (certifier_ != nullptr) {

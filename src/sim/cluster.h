@@ -9,6 +9,7 @@
 #include "obs/health.h"
 #include "obs/series.h"
 #include "obs/stream_audit.h"
+#include "replication/replicated_database.h"
 #include "sim/client.h"
 #include "sim/series_sampler.h"
 #include "sim/event_queue.h"
@@ -18,6 +19,26 @@
 #include "workload/generator.h"
 
 namespace esr {
+
+/// The replicated topology (the conclusion's future-work scenario): the
+/// server becomes a primary whose committed writes propagate to
+/// read-only replicas, and dashboard clients run bounded sum queries
+/// against the lagging replicas. Replica queries cost no primary CPU —
+/// the scaling argument for pushing bounded-inconsistency reads there.
+struct ReplicaOptions {
+  /// Dashboard clients, spread round-robin over the replicas; 0 (the
+  /// default) runs no replication layer.
+  int query_clients = 0;
+  ReplicationOptions replication;
+  /// Import budget of each replica query, checked against the replica's
+  /// conservative divergence estimate.
+  Inconsistency query_til = 10'000;
+  /// Objects per replica query, drawn from the hot set like the paper's
+  /// sum queries.
+  int query_objects = 20;
+  /// Delay before a rejected replica query retries.
+  double query_retry_ms = 50.0;
+};
 
 /// Full configuration of one simulated run: the central server plus `mpl`
 /// client workstations (the paper's LAN limits MPL to 10, but the
@@ -68,6 +89,37 @@ struct ClusterOptions {
   /// output inherits the series' determinism contract (byte-identical
   /// at any --jobs level).
   bool health = false;
+  /// Replicated topology (off unless replicas.query_clients > 0). The
+  /// `mpl` clients then run against the primary and commit through the
+  /// replication layer; a primary running only update ETs, as in the
+  /// scenario, sets workload.query_fraction = 0.
+  ReplicaOptions replicas;
+};
+
+/// Replica dashboard queries of a replicated run (see ReplicaOptions).
+struct ReplicaQueryStats {
+  int64_t attempted = 0;
+  int64_t admitted = 0;
+  /// Summed over admitted queries: the conservative estimate charged
+  /// against the budget, and the true staleness.
+  double estimated_import = 0.0;
+  double true_import = 0.0;
+
+  ReplicaQueryStats& operator-=(const ReplicaQueryStats& other);
+  ReplicaQueryStats& operator+=(const ReplicaQueryStats& other);
+
+  double admitted_fraction() const {
+    return attempted > 0 ? static_cast<double>(admitted) /
+                               static_cast<double>(attempted)
+                         : 0.0;
+  }
+  double avg_estimated_import() const {
+    return admitted > 0 ? estimated_import / static_cast<double>(admitted)
+                        : 0.0;
+  }
+  double avg_true_import() const {
+    return admitted > 0 ? true_import / static_cast<double>(admitted) : 0.0;
+  }
 };
 
 /// Aggregated outcome of a run over the measurement window — the
@@ -99,6 +151,8 @@ struct SimResult {
   /// Windowed anomaly-detection verdict over `series` (empty unless
   /// ClusterOptions::health was set).
   HealthReport health;
+  /// Replica dashboard queries (zero unless ClusterOptions::replicas ran).
+  ReplicaQueryStats replica_queries;
 
   /// Committed transactions per virtual second.
   double throughput() const {
@@ -125,6 +179,12 @@ struct SimResult {
                ? import_total / static_cast<double>(committed_query)
                : 0.0;
   }
+  /// Admitted replica queries per virtual second.
+  double replica_query_throughput() const {
+    return elapsed_s > 0 ? static_cast<double>(replica_queries.admitted) /
+                               elapsed_s
+                         : 0.0;
+  }
   double avg_txn_latency_ms() const {
     return committed > 0 ? txn_latency_total_us /
                                static_cast<double>(committed) / 1000.0
@@ -135,13 +195,15 @@ struct SimResult {
 };
 
 /// Builds and runs the simulated prototype: server, latency model, skewed
-/// client clocks, and MPL synchronous clients, all deterministically
-/// seeded and driven by one EventQueue. Same-time events run in
-/// scheduling order (the queue's FIFO tie-break), so a seed fixes every
-/// result byte.
+/// client clocks, MPL synchronous clients and, in the replicated
+/// topology, the replication layer and its dashboard clients, all
+/// deterministically seeded and driven by one EventQueue. Same-time
+/// events run in scheduling order (the queue's FIFO tie-break), so a
+/// seed fixes every result byte.
 class Cluster {
  public:
   explicit Cluster(const ClusterOptions& options);
+  ~Cluster();  // out of line: ReplicaQueryClient is incomplete here
 
   /// Runs warm-up plus measurement window and returns the aggregated
   /// metrics of the measurement window.
@@ -161,11 +223,15 @@ class Cluster {
   LaneView executor() const { return {queue_}; }
 
  private:
+  class ReplicaQueryClient;
+
   ClusterOptions options_;
   EventQueue queue_;
   std::unique_ptr<Server> server_;
+  std::unique_ptr<ReplicatedDatabase> replication_;
   std::unique_ptr<LatencyModel> latency_;
   std::vector<std::unique_ptr<SimClient>> clients_;
+  std::vector<std::unique_ptr<ReplicaQueryClient>> query_clients_;
   /// Telemetry collector (nullptr unless options_.collect_series); a
   /// member rather than a Run() local because active transactions hold
   /// probe pointers into its tracker for the cluster's lifetime.

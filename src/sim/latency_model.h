@@ -42,7 +42,8 @@ struct LatencyModelOptions {
 /// single FIFO resource.
 ///
 /// Sampling streams: the shared no-argument Sample* overloads draw from
-/// one stream (ReplicaCluster uses them). The per-site overloads draw
+/// one stream (bench/sys_characteristics and the tests use them; every
+/// simulated cluster draws per site). The per-site overloads draw
 /// from an independent stream per SiteId, a deterministic function of
 /// (seed, site) only, so each client's latency sequence does not depend
 /// on the other sites' schedule.

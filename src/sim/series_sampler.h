@@ -28,10 +28,10 @@ struct SeriesSamplerOptions {
 /// epsilon-headroom extrema out of its NodeHeadroomTracker, and resets
 /// the tracker for the next window.
 ///
-/// Decoupled from the driver through CumulativeFn so both Cluster (MPL
-/// SimClients) and ReplicaCluster (update + replica-query clients) feed
-/// it: the callback returns monotonically growing totals and the sampler
-/// does the windowing.
+/// Decoupled from the driver through CumulativeFn: Cluster sums its MPL
+/// SimClients (plus, in the replicated topology, the rejected replica
+/// queries as restarts) into monotonically growing totals and the
+/// sampler does the windowing.
 ///
 /// Purely observational: sampling events only read state (and reset the
 /// tracker's window extrema), so interleaving them into the event queue

@@ -64,6 +64,9 @@ class ObjectRecord {
   // -- Uncommitted writer (strict ordering admits at most one) ------------
   bool has_uncommitted_write() const { return writer_ != kInvalidTxnId; }
   TxnId uncommitted_writer() const { return writer_; }
+  /// The pre-image the uncommitted write replaced (meaningful only while
+  /// has_uncommitted_write()).
+  Value shadow_value() const { return shadow_value_; }
 
   /// Applies a write in place and records the pre-image (shadow value).
   /// `txn` must either be the current uncommitted writer (blind overwrite

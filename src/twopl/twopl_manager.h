@@ -53,7 +53,6 @@ class TwoPLManager final : public TransactionEngine {
   bool IsActive(TxnId txn) const override;
   const Transaction* Find(TxnId txn) const override;
   size_t num_active() const override;
-  EngineKind kind() const override { return EngineKind::kTwoPhaseLocking; }
 
   void SetHeadroomTracker(NodeHeadroomTracker* tracker) override {
     std::lock_guard<ProfiledMutex> lock(mu_);

@@ -20,7 +20,8 @@ namespace esr {
 /// MVTO) so they can be compared on identical workloads.
 enum class EngineKind : uint8_t {
   /// Timestamp ordering with the ESR relaxations of Fig. 3 (the paper's
-  /// protocol). Zero-bound transactions run plain strict TO.
+  /// protocol). Zero-bound transactions run plain strict TO. Runs on the
+  /// sharded engine with one shard.
   kTimestampOrdering = 0,
   /// Strict two-phase locking with wait-die deadlock prevention, plus
   /// Wu-et-al-style divergence control: ESR queries read without locks
@@ -133,8 +134,6 @@ class TransactionEngine {
   virtual const Transaction* Find(TxnId txn) const = 0;
 
   virtual size_t num_active() const = 0;
-
-  virtual EngineKind kind() const = 0;
 
   /// Points every transaction's bound-charge probes at `tracker` so the
   /// telemetry layer can sample per-node epsilon headroom (see

@@ -27,9 +27,9 @@ struct SharedBudget {
 /// One operation of the paper's protocol: the timestamp-ordering decision
 /// with the Fig. 3 relaxations, then for a relaxed case the object-level
 /// OIL/OEL check and the Sec. 5.3.1 bottom-up bound walk, then the store
-/// mutation and the per-operation accounting. The TO and sharded engines
-/// run every Read/Write through it; the 2PL engine reuses its admission
-/// and completion steps around its own locking.
+/// mutation and the per-operation accounting. The TO engine
+/// (ShardedEngine) runs every Read/Write through it; the 2PL engine
+/// reuses its admission and completion steps around its own locking.
 ///
 /// The kernel never tears a transaction down: an abort verdict comes back
 /// as OpResult::Abort(reason) and the engine runs its own teardown. It is

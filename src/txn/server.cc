@@ -7,17 +7,21 @@
 namespace esr {
 
 Server::Server(const ServerOptions& options) : options_(options) {
-  // The sharded engine owns one dense store slice per shard; constructing
-  // the monolithic store too would double memory at millions of objects.
-  if (options_.engine != EngineKind::kSharded) {
-    store_ = std::make_unique<ObjectStore>(options_.store);
-  }
   switch (options_.engine) {
     case EngineKind::kTimestampOrdering:
-      engine_ = std::make_unique<TransactionManager>(
-          store_.get(), &schema_, &metrics_, options_.divergence);
+    case EngineKind::kSharded: {
+      ShardedEngineOptions sharded = options_.sharded;
+      if (options_.engine == EngineKind::kTimestampOrdering) {
+        sharded.num_shards = 1;
+      }
+      auto engine = std::make_unique<ShardedEngine>(
+          sharded, options_.store, &schema_, &metrics_, options_.divergence);
+      sharded_ = engine.get();
+      engine_ = std::move(engine);
       break;
+    }
     case EngineKind::kTwoPhaseLocking:
+      store_ = std::make_unique<ObjectStore>(options_.store);
       engine_ = std::make_unique<TwoPLManager>(
           store_.get(), &schema_, &metrics_, options_.divergence);
       break;
@@ -25,25 +29,21 @@ Server::Server(const ServerOptions& options) : options_(options) {
       engine_ = std::make_unique<MvtoManager>(options_.store, &schema_,
                                               &metrics_);
       break;
-    case EngineKind::kSharded:
-      engine_ = std::make_unique<ShardedEngine>(options_.sharded,
-                                                options_.store, &schema_,
-                                                &metrics_,
-                                                options_.divergence);
-      break;
   }
   ESR_CHECK(engine_ != nullptr);
 }
 
-TransactionManager& Server::txn_manager() {
-  ESR_CHECK(options_.engine == EngineKind::kTimestampOrdering)
-      << "txn_manager() is only available on the TO engine";
-  return static_cast<TransactionManager&>(*engine_);
+ObjectRecord& Server::object(ObjectId id) {
+  ESR_CHECK(ContainsObject(id)) << "object " << id << " out of range";
+  if (sharded_ != nullptr) return sharded_->ObjectAt(id);
+  ESR_CHECK(store_ != nullptr) << "no single-version store on this engine";
+  return store_->Get(id);
 }
 
-ShardedEngine* Server::sharded_engine() {
-  if (options_.engine != EngineKind::kSharded) return nullptr;
-  return static_cast<ShardedEngine*>(engine_.get());
+Value Server::TotalValue() {
+  if (sharded_ != nullptr) return sharded_->TotalValue();
+  ESR_CHECK(store_ != nullptr) << "no single-version store on this engine";
+  return store_->TotalValue();
 }
 
 }  // namespace esr

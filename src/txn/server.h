@@ -9,7 +9,6 @@
 #include "hierarchy/group_schema.h"
 #include "storage/object_store.h"
 #include "txn/engine.h"
-#include "txn/transaction_manager.h"
 
 namespace esr {
 
@@ -19,7 +18,8 @@ struct ServerOptions {
   DivergenceOptions divergence;
   /// Concurrency-control protocol (default: the paper's TO-based ESR).
   EngineKind engine = EngineKind::kTimestampOrdering;
-  /// Sharding configuration; only read when engine == kSharded.
+  /// Sharding configuration; only read when engine == kSharded (the
+  /// kTimestampOrdering engine is the same ShardedEngine with one shard).
   ShardedEngineOptions sharded;
 };
 
@@ -42,30 +42,24 @@ class Server {
   GroupSchema& schema() { return schema_; }
   const GroupSchema& schema() const { return schema_; }
 
-  /// The monolithic object store. Not available on the sharded engine,
-  /// which owns one dense store slice per shard instead (reach them
-  /// through sharded_engine()).
-  ObjectStore& store() {
-    ESR_CHECK(store_ != nullptr) << "no monolithic store on this engine";
-    return *store_;
+  /// The record of object `id`, for loaders, examples and tests
+  /// (quiescent only: no latch is taken). Every engine but MVTO, which
+  /// keeps version chains instead, has one.
+  ObjectRecord& object(ObjectId id);
+  bool ContainsObject(ObjectId id) const {
+    return static_cast<size_t>(id) < options_.store.num_objects;
   }
-  const ObjectStore& store() const {
-    ESR_CHECK(store_ != nullptr) << "no monolithic store on this engine";
-    return *store_;
-  }
+  /// Sum of every object's present value (quiescent only; not on MVTO).
+  Value TotalValue();
 
   /// The selected concurrency-control engine.
   TransactionEngine& engine() { return *engine_; }
   const TransactionEngine& engine() const { return *engine_; }
 
-  /// The TO engine's manager; only valid when options().engine is
-  /// kTimestampOrdering (the default). Kept for tests and tools that
-  /// inspect TO-specific state.
-  TransactionManager& txn_manager();
-
-  /// The sharded engine, or nullptr when another engine is selected —
-  /// callers branch on this for batched submission and shard telemetry.
-  ShardedEngine* sharded_engine();
+  /// The TO engine (kTimestampOrdering with one shard, or kSharded), or
+  /// nullptr on 2PL and MVTO — callers branch on this for import-enabled
+  /// begins, batched submission and shard telemetry.
+  ShardedEngine* sharded_engine() { return sharded_; }
 
   MetricRegistry& metrics() { return metrics_; }
 
@@ -88,8 +82,11 @@ class Server {
   ServerOptions options_;
   GroupSchema schema_;
   MetricRegistry metrics_;
+  /// The 2PL engine's store; the TO engines own theirs per shard and
+  /// MVTO keeps versions.
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<TransactionEngine> engine_;
+  ShardedEngine* sharded_ = nullptr;
 };
 
 }  // namespace esr

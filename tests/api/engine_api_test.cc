@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "api/database.h"
+#include "mvto/mvto_manager.h"
+#include "twopl/twopl_manager.h"
 
 namespace esr {
 namespace {
@@ -101,24 +103,36 @@ TEST(EngineSelectionTest, ServerReportsConfiguredEngine) {
        {EngineKind::kTimestampOrdering, EngineKind::kTwoPhaseLocking,
         EngineKind::kMultiversion, EngineKind::kSharded}) {
     Server server(OptionsFor(kind));
-    EXPECT_EQ(server.engine().kind(), kind);
+    EXPECT_EQ(server.sharded_engine() != nullptr,
+              kind == EngineKind::kTimestampOrdering ||
+                  kind == EngineKind::kSharded);
+    EXPECT_EQ(dynamic_cast<TwoPLManager*>(&server.engine()) != nullptr,
+              kind == EngineKind::kTwoPhaseLocking);
+    EXPECT_EQ(dynamic_cast<MvtoManager*>(&server.engine()) != nullptr,
+              kind == EngineKind::kMultiversion);
   }
 }
 
 TEST(EngineSelectionTest, ShardedEngineAccessor) {
-  Server to_server(OptionsFor(EngineKind::kTimestampOrdering));
-  EXPECT_EQ(to_server.sharded_engine(), nullptr);
+  // The TO engine is the sharded engine pinned to one shard, whatever
+  // ServerOptions::sharded says.
+  ServerOptions to_opt = OptionsFor(EngineKind::kTimestampOrdering);
+  to_opt.sharded.num_shards = 4;
+  Server to_server(to_opt);
+  ASSERT_NE(to_server.sharded_engine(), nullptr);
+  EXPECT_EQ(to_server.sharded_engine()->num_shards(), 1u);
   ServerOptions opt = OptionsFor(EngineKind::kSharded);
   opt.sharded.num_shards = 4;
   Server server(opt);
   ASSERT_NE(server.sharded_engine(), nullptr);
   EXPECT_EQ(server.sharded_engine()->num_shards(), 4u);
-  EXPECT_EQ(server.engine().kind(), EngineKind::kSharded);
+  Server twopl_server(OptionsFor(EngineKind::kTwoPhaseLocking));
+  EXPECT_EQ(twopl_server.sharded_engine(), nullptr);
 }
 
-TEST(EngineSelectionDeathTest, TxnManagerAccessorGuardsEngineKind) {
-  Server server(OptionsFor(EngineKind::kTwoPhaseLocking));
-  EXPECT_DEATH(server.txn_manager(), "only available on the TO engine");
+TEST(EngineSelectionDeathTest, ObjectAccessorGuardsEngineKind) {
+  Server server(OptionsFor(EngineKind::kMultiversion));
+  EXPECT_DEATH(server.object(0), "no single-version store");
 }
 
 }  // namespace

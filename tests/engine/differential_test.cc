@@ -1,10 +1,13 @@
-// Differential test: the single-latch TO engine and a one-shard
-// ShardedEngine run the same seeded, interleaved, single-threaded schedule
-// and must agree on every operation. With one shard the sharded engine's
-// local ids are the global ids and its store is seeded with the base
-// seed, so both engines start from identical databases; any difference
-// in an OpResult, an accumulator total, a counter or the final database
-// total is a divergence between the two engines' Fig. 3 paths.
+// Differential test: a reference TO engine (tests/engine/
+// reference_to_engine.h, one monolithic store, no latches or pooling) and
+// the production engine, a one-shard ShardedEngine, run the same seeded,
+// interleaved, single-threaded schedule and must agree on every
+// operation. With one shard the sharded engine's local ids are the global
+// ids and its store is seeded with the base seed, so both engines start
+// from identical databases; any difference in an OpResult, an accumulator
+// total, a counter, the final database total or (in a tracing build) a
+// transaction's trace-event stream is a divergence between the two
+// engines' Fig. 3 paths.
 //
 // The schedule: 12 transaction slots over a hot set, queries and updates
 // with two-level bounds (some plain SR), randomized OIL/OEL, repeated
@@ -14,21 +17,25 @@
 // until its last op, so a batch only takes ops that cannot observe an
 // earlier batch member's teardown (objects outside that member's write
 // and reader-registration sets); within that rule both engines must
-// still agree op by op.
+// still agree op by op. The same deferral reorders trace events across
+// a batch's transactions, so traces are compared per transaction.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "engine/reference_to_engine.h"
 #include "engine/sharded/sharded_engine.h"
-#include "txn/transaction_manager.h"
+#include "obs/trace.h"
 
 namespace esr {
 namespace {
@@ -80,6 +87,28 @@ bool SameResult(const OpResult& a, const OpResult& b) {
          a.inconsistency == b.inconsistency && a.relaxed == b.relaxed;
 }
 
+/// The trace-event fields both engines must emit identically: kind and
+/// discriminator, transaction, object or group, step-clock time,
+/// hierarchy level, site, flow/wait linkage, charged amount and limit
+/// (the direction rides in `detail`).
+bool SameEvent(const TraceEvent& a, const TraceEvent& b) {
+  return a.type == b.type && a.detail == b.detail && a.level == b.level &&
+         a.site == b.site && a.txn == b.txn && a.ts_micros == b.ts_micros &&
+         a.target == b.target && a.span == b.span && a.parent == b.parent &&
+         a.charged == b.charged && a.limit == b.limit;
+}
+
+std::string Describe(const TraceEvent& e) {
+  std::ostringstream out;
+  out << "{" << TraceEventTypeToString(e.type) << " detail "
+      << static_cast<int>(e.detail) << ", level " << e.level << ", site "
+      << e.site << ", txn " << e.txn << ", ts " << e.ts_micros
+      << ", target " << e.target << ", span " << e.span << ", parent "
+      << e.parent << ", charged " << e.charged << ", limit " << e.limit
+      << "}";
+  return out.str();
+}
+
 /// Both engines plus the schedule state driving them in lockstep.
 class Lockstep {
  public:
@@ -88,7 +117,14 @@ class Lockstep {
         store_(StoreOptions(config)),
         to_(&store_, &schema_, &to_metrics_),
         sharded_(ShardedOptions(), StoreOptions(config), &schema_,
-                 &sharded_metrics_) {}
+                 &sharded_metrics_) {
+#ifndef ESR_TRACE_DISABLED
+    // Observe every kind without capture: no ring, no spans; events are
+    // stamped with the step counter so both engines' streams line up.
+    clock_source_.emplace(&StepClock, this);
+    observer_.emplace(&Observe, this, kAllTraceKinds);
+#endif
+  }
 
   static ObjectStoreOptions StoreOptions(const DiffConfig& config) {
     ObjectStoreOptions options;
@@ -123,11 +159,21 @@ class Lockstep {
 
   /// Advances one slot: begin, one op, or finish. False on a divergence.
   bool Step() {
-    if (rng_.Bernoulli(0.25)) return StepBatch();
-    Slot& slot = slots_[rng_.UniformInt(0, kSlots - 1)];
-    if (slot.txn == kInvalidTxnId) return BeginSlot(slot);
-    if (slot.next == slot.ops.size()) return FinishSlot(slot);
-    return RunOp(slot);
+    ++steps_;
+    bool ok;
+    if (rng_.Bernoulli(0.25)) {
+      ok = StepBatch();
+    } else {
+      Slot& slot = slots_[rng_.UniformInt(0, kSlots - 1)];
+      if (slot.txn == kInvalidTxnId) {
+        ok = BeginSlot(slot);
+      } else if (slot.next == slot.ops.size()) {
+        ok = FinishSlot(slot);
+      } else {
+        ok = RunOp(slot);
+      }
+    }
+    return ok && SameTraces();
   }
 
   /// Runs every open transaction to its end. False on a divergence.
@@ -137,9 +183,10 @@ class Lockstep {
       for (Slot& slot : slots_) {
         if (slot.txn == kInvalidTxnId) continue;
         open = true;
+        ++steps_;
         const bool ok =
             slot.next == slot.ops.size() ? FinishSlot(slot) : RunOp(slot);
-        if (!ok) return false;
+        if (!ok || !SameTraces()) return false;
       }
       if (!open) return true;
     }
@@ -174,11 +221,53 @@ class Lockstep {
         .counter(std::string("abort.") + AbortReasonToString(reason))
         .value();
   }
+  int64_t traced_events() const { return traced_events_; }
   int64_t direct_ops() const { return direct_ops_; }
   int64_t batched_ops() const { return batched_ops_; }
   int64_t multi_op_batches() const { return multi_op_batches_; }
 
  private:
+  static int64_t StepClock(void* ctx) {
+    return static_cast<const Lockstep*>(ctx)->steps_;
+  }
+  static void Observe(void* ctx, const TraceEvent& event) {
+    auto* self = static_cast<Lockstep*>(ctx);
+    (self->on_sharded_ ? self->sharded_events_ : self->to_events_)
+        .push_back(event);
+  }
+  /// Routes the trace events of the calls that follow to the reference
+  /// (false) or the sharded engine's (true) stream.
+  void Route(bool sharded) { on_sharded_ = sharded; }
+
+  /// Compares this step's two event streams transaction by transaction
+  /// (order within each transaction must match), then clears them.
+  bool SameTraces() {
+    std::map<TxnId, std::vector<const TraceEvent*>> a;
+    std::map<TxnId, std::vector<const TraceEvent*>> b;
+    for (const TraceEvent& e : to_events_) a[e.txn].push_back(&e);
+    for (const TraceEvent& e : sharded_events_) b[e.txn].push_back(&e);
+    bool same = a.size() == b.size();
+    for (auto ia = a.begin(), ib = b.begin();
+         same && ia != a.end(); ++ia, ++ib) {
+      same = ia->first == ib->first && ia->second.size() == ib->second.size();
+      for (size_t i = 0; same && i < ia->second.size(); ++i) {
+        same = SameEvent(*ia->second[i], *ib->second[i]);
+      }
+    }
+    if (!same) {
+      std::ostringstream out;
+      out << "trace streams differ at step " << steps_ << "\nreference:";
+      for (const TraceEvent& e : to_events_) out << "\n  " << Describe(e);
+      out << "\nsharded:";
+      for (const TraceEvent& e : sharded_events_) out << "\n  " << Describe(e);
+      ADD_FAILURE() << out.str();
+    }
+    traced_events_ += static_cast<int64_t>(to_events_.size());
+    to_events_.clear();
+    sharded_events_.clear();
+    return same;
+  }
+
   BoundSpec RandomBounds() {
     if (rng_.Bernoulli(0.15)) return BoundSpec::TransactionOnly(0);  // SR
     BoundSpec bounds = BoundSpec::TransactionOnly(
@@ -203,7 +292,9 @@ class Lockstep {
         rng_.Bernoulli(0.5) ? TxnType::kQuery : TxnType::kUpdate;
     const BoundSpec bounds = RandomBounds();
     const Timestamp ts{++clock_, 0};
+    Route(false);
     const TxnId a = to_.Begin(type, ts, bounds);
+    Route(true);
     const TxnId b = sharded_.Begin(type, ts, bounds);
     if (a != b) {
       ADD_FAILURE() << "Begin ids differ: " << a << " vs " << b;
@@ -225,7 +316,9 @@ class Lockstep {
 
   bool FinishSlot(Slot& slot) {
     const bool commit = rng_.Bernoulli(0.95);
+    Route(false);
     const Status a = commit ? to_.Commit(slot.txn) : to_.Abort(slot.txn);
+    Route(true);
     const Status b =
         commit ? sharded_.Commit(slot.txn) : sharded_.Abort(slot.txn);
     slot.txn = kInvalidTxnId;
@@ -237,6 +330,7 @@ class Lockstep {
   }
 
   OpResult RunTo(const Slot& slot) {
+    Route(false);
     const ScriptOp& op = slot.ops[slot.next];
     return op.is_write ? to_.Write(slot.txn, op.object, op.value)
                        : to_.Read(slot.txn, op.object);
@@ -245,6 +339,7 @@ class Lockstep {
   bool RunOp(Slot& slot) {
     const ScriptOp& op = slot.ops[slot.next];
     const OpResult a = RunTo(slot);
+    Route(true);
     const OpResult b = op.is_write
                            ? sharded_.Write(slot.txn, op.object, op.value)
                            : sharded_.Read(slot.txn, op.object);
@@ -281,6 +376,7 @@ class Lockstep {
     }
     std::vector<OpResult> expected;
     for (const Slot* slot : members) expected.push_back(RunTo(*slot));
+    Route(true);
     sharded_.ExecuteBatch(batch_);
     batched_ops_ += static_cast<int64_t>(members.size());
     if (members.size() > 1) ++multi_op_batches_;
@@ -325,8 +421,15 @@ class Lockstep {
   ObjectStore store_;
   MetricRegistry to_metrics_;
   MetricRegistry sharded_metrics_;
-  TransactionManager to_;
+  testing::ReferenceToEngine to_;
   ShardedEngine sharded_;
+  int64_t steps_ = 0;
+  bool on_sharded_ = false;
+  std::vector<TraceEvent> to_events_;
+  std::vector<TraceEvent> sharded_events_;
+  int64_t traced_events_ = 0;
+  std::optional<ScopedTraceTimeSource> clock_source_;
+  std::optional<ScopedTraceObserver> observer_;
   std::array<Slot, kSlots> slots_;
   OpBatch batch_;
   int64_t clock_ = 0;
@@ -347,6 +450,7 @@ TEST(EngineDifferentialTest, ToAndOneShardShardedAgreeOpByOp) {
   int64_t direct = 0;
   int64_t batched = 0;
   int64_t multi = 0;
+  int64_t traced = 0;
   for (const DiffConfig& config : configs) {
     SCOPED_TRACE("seed " + std::to_string(config.seed) + ", history " +
                  std::to_string(config.history_depth));
@@ -362,6 +466,7 @@ TEST(EngineDifferentialTest, ToAndOneShardShardedAgreeOpByOp) {
     direct += run->direct_ops();
     batched += run->batched_ops();
     multi += run->multi_op_batches();
+    traced += run->traced_events();
   }
   // The schedules must reach every op-path abort and both entry points,
   // or agreement proves little.
@@ -371,6 +476,11 @@ TEST(EngineDifferentialTest, ToAndOneShardShardedAgreeOpByOp) {
   EXPECT_GT(direct, 0);
   EXPECT_GT(batched, 0);
   EXPECT_GT(multi, 0);
+#ifndef ESR_TRACE_DISABLED
+  EXPECT_GT(traced, 0);
+#else
+  EXPECT_EQ(traced, 0);
+#endif
 }
 
 }  // namespace

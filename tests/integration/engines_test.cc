@@ -32,8 +32,11 @@ class EngineHarness {
         store_(testing::EngineFixture::StoreOptions(num_objects, 64)) {
     switch (kind) {
       case EngineKind::kTimestampOrdering:
-        engine_ = std::make_unique<TransactionManager>(&store_, &schema_,
-                                                       &metrics_);
+        // The production TO engine: the sharded engine with one shard.
+        engine_ = std::make_unique<ShardedEngine>(
+            testing::OneShard(),
+            testing::EngineFixture::StoreOptions(num_objects, 64), &schema_,
+            &metrics_);
         break;
       case EngineKind::kTwoPhaseLocking:
         engine_ = std::make_unique<TwoPLManager>(&store_, &schema_,
@@ -60,7 +63,8 @@ class EngineHarness {
   TransactionEngine& engine() { return *engine_; }
 
   Value TotalCommitted() {
-    if (kind_ == EngineKind::kSharded) {
+    if (kind_ == EngineKind::kSharded ||
+        kind_ == EngineKind::kTimestampOrdering) {
       return static_cast<ShardedEngine&>(*engine_).TotalValue();
     }
     Value total = 0;

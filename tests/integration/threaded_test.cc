@@ -81,7 +81,7 @@ TEST_F(ThreadedTest, ConcurrentTransfersPreserveTotal) {
   Value total = 0;
   for (ObjectId id = 0; id < kObjects; ++id) {
     total += *db_.PeekValue(id);
-    EXPECT_FALSE(db_.server().store().Get(id).has_uncommitted_write());
+    EXPECT_FALSE(db_.server().object(id).has_uncommitted_write());
   }
   EXPECT_EQ(total, static_cast<Value>(kObjects) * kInitialValue);
 }

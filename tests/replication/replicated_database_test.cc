@@ -10,6 +10,7 @@ namespace {
 Timestamp Ts(int64_t t) { return Timestamp{t, 0}; }
 
 struct ReplFixture {
+  Server primary{ServerOpts()};
   ReplicatedDatabase db;
 
   static ReplicationOptions Replication(int replicas = 2,
@@ -27,12 +28,12 @@ struct ReplFixture {
     return opt;
   }
 
-  ReplFixture() : db(Replication(), ServerOpts()) {}
+  ReplFixture() : db(Replication(), &primary) {}
 
   /// Runs a single-object update on the primary at virtual time `now`.
   void CommitWrite(int64_t ts, ObjectId object, Value value, SimTime now) {
-    const TxnId txn = db.Begin(TxnType::kUpdate, Ts(ts), BoundSpec());
-    ASSERT_EQ(db.Write(txn, object, value).kind, OpResult::Kind::kOk);
+    const TxnId txn = primary.Begin(TxnType::kUpdate, Ts(ts), BoundSpec());
+    ASSERT_EQ(primary.Write(txn, object, value).kind, OpResult::Kind::kOk);
     ASSERT_TRUE(db.Commit(txn, now).ok());
   }
 };
@@ -40,7 +41,7 @@ struct ReplFixture {
 TEST(ReplicatedDatabaseTest, ReplicasStartIdenticalToPrimary) {
   ReplFixture f;
   for (ObjectId id = 0; id < 16; ++id) {
-    const Value primary = f.db.primary().store().Get(id).value();
+    const Value primary = f.primary.object(id).value();
     EXPECT_EQ(f.db.PeekReplica(0, id), primary);
     EXPECT_EQ(f.db.PeekReplica(1, id), primary);
     EXPECT_EQ(f.db.DivergenceEstimate(0, id), 0.0);
@@ -67,9 +68,9 @@ TEST(ReplicatedDatabaseTest, WritesPropagateAfterDelay) {
 TEST(ReplicatedDatabaseTest, AbortedTransactionsNeverPropagate) {
   ReplFixture f;
   const Value before = f.db.PeekReplica(0, 3);
-  const TxnId txn = f.db.Begin(TxnType::kUpdate, Ts(10), BoundSpec());
-  ASSERT_EQ(f.db.Write(txn, 3, before + 500).kind, OpResult::Kind::kOk);
-  ASSERT_TRUE(f.db.Abort(txn).ok());
+  const TxnId txn = f.primary.Begin(TxnType::kUpdate, Ts(10), BoundSpec());
+  ASSERT_EQ(f.primary.Write(txn, 3, before + 500).kind, OpResult::Kind::kOk);
+  ASSERT_TRUE(f.primary.Abort(txn).ok());
   f.db.AdvanceTo(1000 * kMicrosPerMilli);
   EXPECT_EQ(f.db.PeekReplica(0, 3), before);
   EXPECT_EQ(f.db.PendingWrites(0), 0u);
@@ -138,10 +139,11 @@ TEST(ReplicatedDatabaseTest, PropertyEstimateAlwaysDominatesTruth) {
   int64_t ts = 1;
   for (int round = 0; round < 200; ++round) {
     const ObjectId object = static_cast<ObjectId>(rng.UniformInt(0, 15));
-    const Value current = f.db.primary().store().Get(object).value();
+    const Value current = f.primary.object(object).value();
     const Value delta = rng.UniformInt(-400, 400);
-    const TxnId txn = f.db.Begin(TxnType::kUpdate, Ts(ts++), BoundSpec());
-    ASSERT_EQ(f.db.Write(txn, object, current + delta).kind,
+    const TxnId txn =
+        f.primary.Begin(TxnType::kUpdate, Ts(ts++), BoundSpec());
+    ASSERT_EQ(f.primary.Write(txn, object, current + delta).kind,
               OpResult::Kind::kOk);
     ASSERT_TRUE(f.db.Commit(txn, now).ok());
     now += rng.UniformInt(0, 40) * kMicrosPerMilli;
@@ -161,17 +163,17 @@ TEST(ReplicatedDatabaseTest, PropertyEstimateAlwaysDominatesTruth) {
     f.db.SyncReplica(replica);
     for (ObjectId id = 0; id < 16; ++id) {
       EXPECT_EQ(f.db.PeekReplica(replica, id),
-                f.db.primary().store().Get(id).value());
+                f.primary.object(id).value());
     }
   }
 }
 
 TEST(ReplicatedDatabaseTest, ReplicasProgressIndependently) {
-  ReplicatedDatabase db(ReplFixture::Replication(3, 100.0),
-                        ReplFixture::ServerOpts());
+  Server primary(ReplFixture::ServerOpts());
+  ReplicatedDatabase db(ReplFixture::Replication(3, 100.0), &primary);
   const Value before = db.PeekReplica(0, 1);
-  const TxnId txn = db.Begin(TxnType::kUpdate, Ts(5), BoundSpec());
-  ASSERT_EQ(db.Write(txn, 1, before + 100).kind, OpResult::Kind::kOk);
+  const TxnId txn = primary.Begin(TxnType::kUpdate, Ts(5), BoundSpec());
+  ASSERT_EQ(primary.Write(txn, 1, before + 100).kind, OpResult::Kind::kOk);
   ASSERT_TRUE(db.Commit(txn, 0).ok());
   db.SyncReplica(1);  // only replica 1 catches up
   EXPECT_EQ(db.PeekReplica(0, 1), before);
@@ -187,6 +189,34 @@ TEST(ReplicatedDatabaseTest, InvalidTargetsRejected) {
             StatusCode::kNotFound);
   EXPECT_EQ(f.db.ReplicaSumQuery(0, {}, 1.0).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ReplicatedDatabaseTest, CommitPropagatesEachObjectOnceWithItsPreImage) {
+  // Overwrites within one transaction and writes to several objects: the
+  // commit queues each object once, weighted by its distance from the
+  // committed pre-image, whatever the intermediate values were.
+  ReplFixture f;
+  const Value v3 = f.db.PeekReplica(0, 3);
+  const Value v5 = f.db.PeekReplica(0, 5);
+  const TxnId txn = f.primary.Begin(TxnType::kUpdate, Ts(10), BoundSpec());
+  ASSERT_EQ(f.primary.Write(txn, 3, v3 + 900).kind, OpResult::Kind::kOk);
+  ASSERT_EQ(f.primary.Write(txn, 5, v5 - 200).kind, OpResult::Kind::kOk);
+  ASSERT_EQ(f.primary.Write(txn, 3, v3 + 100).kind, OpResult::Kind::kOk);
+  ASSERT_TRUE(f.db.Commit(txn, 0).ok());
+  EXPECT_EQ(f.db.PendingWrites(0), 2u);
+  EXPECT_EQ(f.db.DivergenceEstimate(0, 3), 100.0);
+  EXPECT_EQ(f.db.DivergenceEstimate(0, 5), 200.0);
+  f.db.SyncReplica(0);
+  EXPECT_EQ(f.db.PeekReplica(0, 3), v3 + 100);
+  EXPECT_EQ(f.db.PeekReplica(0, 5), v5 - 200);
+  // A commit of a finished transaction fails and queues nothing.
+  EXPECT_EQ(f.db.Commit(txn, 0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(f.db.PendingWrites(1), 2u);
+}
+
+TEST(ReplicatedDatabaseDeathTest, PeekReplicaChecksObjectRange) {
+  ReplFixture f;
+  EXPECT_DEATH((void)f.db.PeekReplica(0, 16), "out of range");
 }
 
 }  // namespace

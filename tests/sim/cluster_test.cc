@@ -121,7 +121,8 @@ TEST(ClusterTest, ServerObjectCountFollowsWorkload) {
   ClusterOptions opt = FastOptions(1, EpsilonLevel::kHigh);
   opt.workload.num_objects = 123;
   Cluster cluster(opt);
-  EXPECT_EQ(cluster.server().store().size(), 123u);
+  // The TO engine is one shard holding the whole store.
+  EXPECT_EQ(cluster.server().sharded_engine()->shard(0).store().size(), 123u);
 }
 
 ClusterOptions SeriesOptions(int mpl, EpsilonLevel level, uint64_t seed = 7) {
@@ -202,6 +203,114 @@ TEST(SeriesSamplerTest, SeriesIsDeterministicGivenSeed) {
     EXPECT_EQ(a.series.windows[i].mean_op_latency_ms,
               b.series.windows[i].mean_op_latency_ms);
   }
+}
+
+// ------------------------------------------------- replicated topology --
+
+ClusterOptions ReplicaOptionsFor(uint64_t seed = 7) {
+  ClusterOptions opt;
+  opt.mpl = 3;
+  opt.workload.query_fraction = 0.0;
+  opt.replicas.query_clients = 2;
+  opt.replicas.replication.num_replicas = 2;
+  opt.replicas.replication.propagation_delay_ms = 100.0;
+  opt.replicas.query_til = 10'000;
+  opt.warmup_s = 2.0;
+  opt.measure_s = 15.0;
+  opt.seed = seed;
+  return opt;
+}
+
+TEST(ReplicaClusterTest, BothSidesMakeProgress) {
+  const SimResult r = RunCluster(ReplicaOptionsFor());
+  EXPECT_GT(r.committed, 50);
+  EXPECT_GT(r.replica_queries.admitted, 50);
+  EXPECT_GT(r.replica_queries.admitted_fraction(), 0.5);
+}
+
+TEST(ReplicaClusterTest, DeterministicGivenSeed) {
+  const SimResult a = RunCluster(ReplicaOptionsFor(11));
+  const SimResult b = RunCluster(ReplicaOptionsFor(11));
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.replica_queries.attempted, b.replica_queries.attempted);
+  EXPECT_EQ(a.replica_queries.admitted, b.replica_queries.admitted);
+}
+
+TEST(ReplicaClusterTest, AdmittedQueriesRespectBudgetAndTruth) {
+  const SimResult r = RunCluster(ReplicaOptionsFor());
+  ASSERT_GT(r.replica_queries.admitted, 0);
+  // Estimates are conservative: estimate >= truth, and within the TIL.
+  EXPECT_GE(r.replica_queries.avg_estimated_import() + 1e-9,
+            r.replica_queries.avg_true_import());
+  EXPECT_LE(r.replica_queries.avg_estimated_import(), 10'000.0);
+}
+
+TEST(ReplicaClusterTest, TighterBudgetsAdmitFewerQueries) {
+  ClusterOptions tight = ReplicaOptionsFor();
+  tight.replicas.query_til = 500;
+  ClusterOptions loose = ReplicaOptionsFor();
+  loose.replicas.query_til = kUnbounded;
+  const SimResult tight_result = RunCluster(tight);
+  const SimResult loose_result = RunCluster(loose);
+  EXPECT_LT(tight_result.replica_queries.admitted_fraction(),
+            loose_result.replica_queries.admitted_fraction());
+  EXPECT_EQ(loose_result.replica_queries.admitted_fraction(), 1.0);
+}
+
+TEST(ReplicaClusterTest, LongerLagLowersAdmission) {
+  ClusterOptions fast = ReplicaOptionsFor();
+  fast.replicas.replication.propagation_delay_ms = 10.0;
+  ClusterOptions slow = ReplicaOptionsFor();
+  slow.replicas.replication.propagation_delay_ms = 2'000.0;
+  const SimResult fast_result = RunCluster(fast);
+  const SimResult slow_result = RunCluster(slow);
+  EXPECT_GT(fast_result.replica_queries.admitted_fraction(),
+            slow_result.replica_queries.admitted_fraction());
+}
+
+TEST(ReplicaClusterTest, ReplicaQueriesDoNotDepressPrimaryThroughput) {
+  // The scaling argument: replica queries consume no primary CPU, so
+  // doubling the dashboard load leaves update throughput essentially
+  // unchanged.
+  ClusterOptions light = ReplicaOptionsFor();
+  light.replicas.query_clients = 1;
+  ClusterOptions heavy = ReplicaOptionsFor();
+  heavy.replicas.query_clients = 8;
+  const SimResult light_result = RunCluster(light);
+  const SimResult heavy_result = RunCluster(heavy);
+  EXPECT_GT(heavy_result.replica_queries.admitted,
+            light_result.replica_queries.admitted);
+  EXPECT_NEAR(static_cast<double>(heavy_result.committed),
+              static_cast<double>(light_result.committed),
+              0.15 * static_cast<double>(light_result.committed));
+}
+
+TEST(ReplicaClusterTest, CertifiedReplicatedRunCountsRejectedQueries) {
+  // The replicated topology runs through the same loop as every other
+  // cluster, so certification and health come with it: the primary's
+  // bound walks certify clean, and the series counts every update abort
+  // and every rejected (retried) replica query as a restart.
+  ClusterOptions opt = ReplicaOptionsFor();
+  opt.replicas.query_til = 500;  // tight enough that queries get rejected
+  opt.certify = true;
+  opt.health = true;
+  opt.series_source = "cluster_test.replicated";
+  // No warmup: the result's counts then cover the series' whole span.
+  opt.warmup_s = 0.0;
+  const SimResult r = RunCluster(opt);
+#ifndef ESR_TRACE_DISABLED
+  EXPECT_TRUE(r.certification.enabled);
+  EXPECT_GT(r.certification.events_observed, 0u);
+  EXPECT_TRUE(r.certification.violations.empty());
+#endif
+  EXPECT_EQ(r.health.windows, r.series.windows.size());
+  ASSERT_EQ(r.series.windows.size(), 15u);
+  int64_t restarts = 0;
+  for (const SeriesWindow& w : r.series.windows) restarts += w.restarts;
+  const int64_t rejected =
+      r.replica_queries.attempted - r.replica_queries.admitted;
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(restarts, r.aborts + rejected);
 }
 
 }  // namespace

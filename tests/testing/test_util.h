@@ -4,23 +4,32 @@
 #include <memory>
 
 #include "common/metrics.h"
+#include "engine/sharded/sharded_engine.h"
 #include "hierarchy/group_schema.h"
 #include "storage/object_store.h"
-#include "txn/transaction_manager.h"
 
 namespace esr {
 namespace testing {
 
 inline Timestamp Ts(int64_t t) { return Timestamp{t, 0}; }
 
-/// A small engine with deterministic object values: object i holds
-/// 1000 * (i + 1). Gives tests exact arithmetic over proper/present
-/// values.
+/// The production TO engine's configuration: the sharded engine with one
+/// shard, whose local object ids are the global ids.
+inline ShardedEngineOptions OneShard() {
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  return options;
+}
+
+/// A small production TO engine with deterministic object values: object
+/// i holds 1000 * (i + 1). Gives tests exact arithmetic over
+/// proper/present values.
 struct EngineFixture {
-  ObjectStore store;
   GroupSchema schema;
   MetricRegistry metrics;
-  TransactionManager manager;
+  ShardedEngine manager;
+  /// The engine's one store slice (object ids are global ids).
+  ObjectStore& store;
 
   static ObjectStoreOptions StoreOptions(size_t n, size_t history_depth) {
     ObjectStoreOptions opt;
@@ -32,12 +41,16 @@ struct EngineFixture {
 
   explicit EngineFixture(size_t num_objects = 10, size_t history_depth = 20,
                          DivergenceOptions divergence = {})
-      : store(StoreOptions(num_objects, history_depth)),
-        manager(&store, &schema, &metrics, divergence) {
+      : manager(OneShard(), StoreOptions(num_objects, history_depth),
+                &schema, &metrics, divergence),
+        store(manager.shard(0).store()) {
     for (ObjectId id = 0; id < num_objects; ++id) {
       SetValue(id, static_cast<Value>(1000 * (id + 1)));
     }
   }
+
+  /// The data manager measuring divergence against `store`.
+  DataManager& data_manager() { return manager.shard(0).data(); }
 
   /// Directly installs a committed value older than every timestamp.
   void SetValue(ObjectId id, Value v) {

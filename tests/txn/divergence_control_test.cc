@@ -2,7 +2,6 @@
 
 #include "testing/test_util.h"
 #include "txn/data_manager.h"
-#include "txn/transaction_manager.h"
 
 namespace esr {
 namespace {
@@ -237,7 +236,7 @@ TEST(ImportMeasureTest, ProperValueTracksQueryTimestamp) {
   f.CommitWrite(10, 0, 1100);
   f.CommitWrite(20, 0, 1200);
   f.CommitWrite(30, 0, 1300);
-  DataManager& dm = f.manager.data_manager();
+  DataManager& dm = f.data_manager();
   const ObjectRecord& obj = f.store.Get(0);
   // Query between writes: proper is the newest write older than it.
   EXPECT_EQ(dm.ImportInconsistency(obj, Ts(25))->proper, 1200);
@@ -250,7 +249,7 @@ TEST(ImportMeasureTest, ProperValueTracksQueryTimestamp) {
 TEST(ImportMeasureTest, DistanceIsAbsoluteValue) {
   EngineFixture f;
   f.CommitWrite(50, 0, 400);  // value decreased: 1000 -> 400
-  DataManager& dm = f.manager.data_manager();
+  DataManager& dm = f.data_manager();
   EXPECT_EQ(dm.ImportInconsistency(f.store.Get(0), Ts(20))->d, 600.0);
 }
 

@@ -1,4 +1,4 @@
-#include "txn/transaction_manager.h"
+#include "engine/sharded/sharded_engine.h"
 
 #include <gtest/gtest.h>
 

@@ -113,22 +113,22 @@ TEST(UpdateImportTest, ImportAndExportBudgetsAreSeparate) {
 /// Every engine that admits lock-free ESR query reads runs the same
 /// min/max accounting, so the repeated-read cases run against each: TO,
 /// the sharded engine (4 shards), and 2PL's divergence-controlled reads.
+/// TO is the production engine with one shard.
 /// Object i starts at 1000 * (i + 1), as in EngineFixture.
 class RepeatedReadTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   RepeatedReadTest() {
     const ObjectStoreOptions options = EngineFixture::StoreOptions(10, 20);
+    // The production TO engine is the sharded engine with one shard.
+    ShardedEngineOptions sharded = testing::OneShard();
     switch (GetParam()) {
-      case EngineKind::kTimestampOrdering:
-        engine_ = std::make_unique<TransactionManager>(&store_, &schema_,
-                                                       &metrics_);
-        break;
       case EngineKind::kTwoPhaseLocking:
         engine_ = std::make_unique<TwoPLManager>(&store_, &schema_, &metrics_);
         break;
-      case EngineKind::kSharded: {
-        ShardedEngineOptions sharded;
+      case EngineKind::kSharded:
         sharded.num_shards = 4;
+        [[fallthrough]];
+      case EngineKind::kTimestampOrdering: {
         auto engine = std::make_unique<ShardedEngine>(sharded, options,
                                                       &schema_, &metrics_);
         sharded_ = engine.get();
