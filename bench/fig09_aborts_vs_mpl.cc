@@ -65,11 +65,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", json_status.ToString().c_str());
     return 1;
   }
-  const esr::Status registry_status =
-      esr::bench::MaybeAppendToRegistry(argc, argv, report, sweep.jobs());
-  if (!registry_status.ok()) {
-    std::fprintf(stderr, "%s\n", registry_status.ToString().c_str());
-    return 1;
-  }
   return 0;
 }

@@ -1,19 +1,13 @@
 #include "harness/harness.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
-
-#include <unistd.h>
-
-#include <algorithm>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -534,75 +528,6 @@ Status JsonReport::WriteToFile(const std::string& path) const {
   }
   std::fprintf(stderr, "wrote bench JSON to %s\n", path.c_str());
   return Status::OK();
-}
-
-namespace {
-
-/// Git sha recorded in registry envelopes: ESR_GIT_SHA wins (tests pin
-/// it), then GITHUB_SHA (CI), then `git rev-parse`; "unknown" outside a
-/// checkout. Resolved once per process.
-std::string ResolveGitSha() {
-  for (const char* var : {"ESR_GIT_SHA", "GITHUB_SHA"}) {
-    const char* value = std::getenv(var);
-    if (value != nullptr && value[0] != '\0') return value;
-  }
-  std::string sha;
-  if (FILE* pipe = popen("git rev-parse --short=12 HEAD 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
-    pclose(pipe);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unknown" : sha;
-}
-
-}  // namespace
-
-std::string RegistryDirFromArgs(int argc, char** argv) {
-  return FlagValue(argc, argv, "--registry", "ESR_BENCH_REGISTRY");
-}
-
-Status AppendReportToRegistry(const JsonReport& report, int jobs,
-                              const std::string& dir) {
-  ESR_CHECK(!dir.empty());
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create registry directory " + dir + ": " +
-                            ec.message());
-  }
-  static std::atomic<int> sequence{0};  // distinct names within one process
-  const int64_t now_unix = static_cast<int64_t>(std::time(nullptr));
-  std::ostringstream name;
-  name << report.figure() << "_" << now_unix << "_" << getpid() << "_"
-       << sequence.fetch_add(1, std::memory_order_relaxed) << ".json";
-  const std::filesystem::path path = std::filesystem::path(dir) / name.str();
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::NotFound("cannot open registry entry: " + path.string());
-  }
-  out << "{\n  \"registered\": {\"figure\": \"" << report.figure()
-      << "\", \"git_sha\": \"" << ResolveGitSha() << "\", \"preset\": \""
-      << report.scale().preset << "\", \"jobs\": " << jobs
-      << ", \"recorded_unix\": " << now_unix << "},\n  \"report\": ";
-  report.Write(out);
-  out << "\n}\n";
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("failed writing registry entry: " +
-                            path.string());
-  }
-  std::fprintf(stderr, "registered bench run: %s\n", path.string().c_str());
-  return Status::OK();
-}
-
-Status MaybeAppendToRegistry(int argc, char** argv, const JsonReport& report,
-                             int jobs) {
-  const std::string dir = RegistryDirFromArgs(argc, argv);
-  if (dir.empty()) return Status::OK();
-  return AppendReportToRegistry(report, jobs, dir);
 }
 
 std::string TraceCapture::PathFromArgs(int argc, char** argv) {

@@ -320,9 +320,6 @@ class JsonReport {
   /// No-op returning OK when `path` is empty.
   Status WriteToFile(const std::string& path) const;
 
-  const std::string& figure() const { return figure_; }
-  const RunScale& scale() const { return scale_; }
-
  private:
   struct Point {
     double x;
@@ -334,38 +331,6 @@ class JsonReport {
   /// Insertion-ordered series.
   std::vector<std::pair<std::string, std::vector<Point>>> series_;
 };
-
-// -- Cross-run benchmark registry -------------------------------------------
-//
-// Every figure run can append its JsonReport — wrapped in an envelope
-// carrying the git sha, scale preset, and worker count — to a registry
-// directory, one file per run:
-//
-//   <dir>/<figure>_<unix>_<pid>_<seq>.json
-//   {"registered": {"figure": _, "git_sha": _, "preset": _, "jobs": _,
-//                   "recorded_unix": _},
-//    "report": <JsonReport::Write document>}
-//
-// `esr bench <dir>` scans the directory, groups entries by figure, renders
-// cross-run trend tables, and flags regressions with the same CI-aware
-// tolerance rule its --check gate applies to the committed baselines.
-
-/// Registry directory: the first `--registry <dir>` pair in argv wins
-/// over ESR_BENCH_REGISTRY; empty (registry disabled) when neither is
-/// present.
-std::string RegistryDirFromArgs(int argc, char** argv);
-
-/// Appends `report` to the registry at `dir` (created if missing).
-/// `jobs` is recorded for provenance only — report bytes are identical
-/// for any worker count, so trend comparisons stay apples-to-apples.
-Status AppendReportToRegistry(const JsonReport& report, int jobs,
-                              const std::string& dir);
-
-/// The call every figure binary makes right after WriteToFile: resolves
-/// the registry directory from argv/environment and appends; no-op
-/// returning OK when no registry is configured.
-Status MaybeAppendToRegistry(int argc, char** argv, const JsonReport& report,
-                             int jobs);
 
 /// RAII trace capture for figure binaries: when a `--trace <path>` pair
 /// appears in argv (or ESR_BENCH_TRACE is set), resets and enables the

@@ -1,6 +1,7 @@
 // Microbenchmarks of the engine's core primitives: object access, proper
 // value lookup, the timestamp-ordering decision, hierarchical charge, and
-// a full transaction round trip through the transaction manager.
+// a full transaction round trip through the one-shard ShardedEngine that
+// runs the paper's TO scheduler.
 
 #include <benchmark/benchmark.h>
 

@@ -10,6 +10,11 @@
 //             [--metrics-port N] [--metrics-linger-ms N]
 //             [--shards N] [--workers N] [--objects N] [--batch]
 //
+// Every number is a plain decimal. Counts (clients, txns, shards,
+// workers, objects, hot set) are >= 1, --metrics-port is 0..65535 and
+// --metrics-linger-ms is >= 0; anything else exits 1 before the run
+// starts.
+//
 // The default run is the historical loopback demo: one OS thread per
 // client against the TO engine (one shard). The scaling flags opt into
 // more shards and the batched worker pool:
@@ -64,17 +69,21 @@
 // process exits 128+signal.
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/sharded/session.h"
@@ -232,6 +241,31 @@ ClientResult RunClient(esr::Server* server, esr::SiteId site,
   return result;
 }
 
+/// A numeric command-line argument and its accepted range.
+struct IntArg {
+  const char* name;
+  int* value;
+  int min;
+  int max;
+};
+
+/// Stores `text` into `arg.value` when it is a plain decimal (no sign,
+/// nothing after the digits) inside [arg.min, arg.max]; otherwise prints
+/// why and returns false.
+bool ParseIntArg(const IntArg& arg, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+      value < arg.min || value > arg.max) {
+    std::fprintf(stderr, "%s must be an integer in [%d, %d], got '%s'\n",
+                 arg.name, arg.min, arg.max, text);
+    return false;
+  }
+  *arg.value = static_cast<int>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -248,68 +282,60 @@ int main(int argc, char** argv) {
   int num_workers = 0;   // 0 = one OS thread per client
   int num_objects = 1000;
   int hot_set = 0;  // 0 = keep the workload spec default
-  int positional = 0;
+  // Numbers are checked here, before any thread starts or port binds.
+  const IntArg kIntFlags[] = {
+      {"--metrics-port", &metrics_port, 0, 65535},
+      {"--metrics-linger-ms", &metrics_linger_ms, 0, INT_MAX},
+      {"--shards", &num_shards, 1, INT_MAX},
+      {"--workers", &num_workers, 1, INT_MAX},
+      {"--objects", &num_objects, 1, INT_MAX},
+      {"--hot-set", &hot_set, 1, INT_MAX},
+  };
+  const IntArg kPositional[] = {
+      {"num_clients", &num_clients, 1, INT_MAX},
+      {"txns_per_client", &txns_per_client, 1, INT_MAX},
+  };
+  const std::pair<const char*, std::string*> kPathFlags[] = {
+      {"--json", &json_path},
+      {"--trace", &trace_path},
+      {"--profile", &profile_path},
+      {"--health", &health_path},
+  };
+  size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
-    const bool is_json = std::strcmp(argv[i], "--json") == 0;
-    const bool is_trace = std::strcmp(argv[i], "--trace") == 0;
-    const bool is_profile = std::strcmp(argv[i], "--profile") == 0;
-    const bool is_health = std::strcmp(argv[i], "--health") == 0;
-    const bool is_port = std::strcmp(argv[i], "--metrics-port") == 0;
-    const bool is_linger = std::strcmp(argv[i], "--metrics-linger-ms") == 0;
-    const bool is_shards = std::strcmp(argv[i], "--shards") == 0;
-    const bool is_workers = std::strcmp(argv[i], "--workers") == 0;
-    const bool is_objects = std::strcmp(argv[i], "--objects") == 0;
-    const bool is_hot_set = std::strcmp(argv[i], "--hot-set") == 0;
-    if (std::strcmp(argv[i], "--certify") == 0) {
+    const char* arg = argv[i];
+    const IntArg* int_flag = nullptr;
+    for (const IntArg& flag : kIntFlags) {
+      if (std::strcmp(arg, flag.name) == 0) int_flag = &flag;
+    }
+    std::string* path = nullptr;
+    for (const auto& [name, target] : kPathFlags) {
+      if (std::strcmp(arg, name) == 0) path = target;
+    }
+    if (std::strcmp(arg, "--certify") == 0) {
       certify = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
+    } else if (std::strcmp(arg, "--batch") == 0) {
       if (num_workers <= 0) {
         num_workers =
             static_cast<int>(std::thread::hardware_concurrency());
         if (num_workers <= 0) num_workers = 4;
       }
-    } else if (is_json || is_trace || is_profile || is_health || is_port ||
-               is_linger || is_shards || is_workers || is_objects ||
-               is_hot_set) {
+    } else if (int_flag != nullptr || path != nullptr) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires an argument\n", argv[i]);
+        std::fprintf(stderr, "%s requires an argument\n", arg);
         return 1;
       }
-      if (is_json) {
-        json_path = argv[++i];
-      } else if (is_trace) {
-        trace_path = argv[++i];
-      } else if (is_profile) {
-        profile_path = argv[++i];
-      } else if (is_health) {
-        health_path = argv[++i];
-      } else if (is_port) {
-        metrics_port = std::atoi(argv[++i]);
-      } else if (is_shards) {
-        num_shards = std::atoi(argv[++i]);
-      } else if (is_workers) {
-        num_workers = std::atoi(argv[++i]);
-      } else if (is_objects) {
-        num_objects = std::atoi(argv[++i]);
-      } else if (is_hot_set) {
-        hot_set = std::atoi(argv[++i]);
-      } else {
-        metrics_linger_ms = std::atoi(argv[++i]);
+      if (path != nullptr) {
+        *path = argv[++i];
+      } else if (!ParseIntArg(*int_flag, argv[++i])) {
+        return 1;
       }
-    } else if (positional == 0) {
-      num_clients = std::atoi(argv[i]);
-      ++positional;
-    } else if (positional == 1) {
-      txns_per_client = std::atoi(argv[i]);
-      ++positional;
+    } else if (positional < std::size(kPositional)) {
+      if (!ParseIntArg(kPositional[positional++], arg)) return 1;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::fprintf(stderr, "unknown argument: %s\n", arg);
       return 1;
     }
-  }
-  if (num_objects <= 0) {
-    std::fprintf(stderr, "--objects must be positive\n");
-    return 1;
   }
 
   std::signal(SIGINT, HandleSignal);

@@ -140,9 +140,10 @@ class FlatMap {
   // The user hash is used raw — for libstdc++ integer keys that is the
   // identity, which is deliberate: the simulator keys these maps by
   // *dense* ObjectIds/TxnIds, and identity placement gives single-probe
-  // lookups and inserts (micro_flat_map: ~3x unordered_map on the
-  // txn-churn shape; a Fibonacci finalizer was tried and cost 2.5x there).
-  // The flip side, measured by the bench's adversarial lock-table kernel:
+  // lookups and inserts (~3x unordered_map on the txn-churn shape, as
+  // recorded in bench/baseline/SPEED.md; a Fibonacci finalizer was tried
+  // and cost 2.5x there). The flip side, measured by the adversarial
+  // lock-dense kernel recorded there (0.17x unordered_map):
   // backward-shift erase scans the whole probe cluster, so hundreds of
   // simultaneously *live* consecutive keys would degrade erase badly.
   // Live sets here are bounded by MPL x ops-per-txn (~120, clusters no

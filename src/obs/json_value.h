@@ -40,8 +40,8 @@ struct JsonValue {
 };
 
 /// Deepest array/object nesting ParseJson accepts. The committed bench
-/// baselines nest 5 deep and a registry envelope one more, so this leaves
-/// wide headroom while keeping the recursion far from the stack limit.
+/// baselines nest 5 deep, so this leaves wide headroom while keeping the
+/// recursion far from the stack limit.
 inline constexpr int kMaxJsonDepth = 256;
 
 /// Parses `text`; on failure returns false and (optionally) the error.

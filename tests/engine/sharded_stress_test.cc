@@ -293,6 +293,12 @@ INSTANTIATE_TEST_SUITE_P(
         StressConfig{.shards = 16, .sessions = 64, .workers = 16,
                      .txns_per_session = 12, .seed = 14, .objects = 480,
                      .hot_set = 80, .name = "SixteenShardMpl64"},
+        // Four shards, four workers, MPL 64 over perfbench engine_hot's
+        // population (2,000 objects, hot set 100): the (shards, workers)
+        // point the sharded engine's throughput is compared at.
+        StressConfig{.shards = 4, .sessions = 64, .workers = 4,
+                     .txns_per_session = 12, .seed = 17, .objects = 2000,
+                     .hot_set = 100, .name = "FourShardFourWorkerMpl64"},
         // Engine-wide shared epsilon budget on top of per-txn bounds.
         StressConfig{.shards = 4, .sessions = 32, .workers = 8,
                      .txns_per_session = 20, .seed = 15,

@@ -1,6 +1,6 @@
 // Robustness tests for the JSON reader every tool input goes through:
 // random bytes, random token soup, byte mutations and every truncation of
-// a registry envelope must parse or return an error (never crash or
+// an enveloped bench report must parse or return an error (never crash or
 // hang), and nesting past kMaxJsonDepth is an error, not a stack
 // overflow.
 
@@ -14,8 +14,9 @@
 namespace esr {
 namespace {
 
-// One fig07 point of a registry envelope as the bench harness appends it:
-// envelope > report > series > rows > row > latency_ms, six levels deep.
+// One fig07 point of a bench --json report wrapped in a provenance
+// envelope: envelope > report > series > rows > row > latency_ms, six
+// levels deep.
 const char kEnvelope[] =
     "{\n  \"registered\": {\"figure\": \"fig07_throughput_vs_mpl\", "
     "\"git_sha\": \"unknown\", \"preset\": \"quick\", \"jobs\": 4, "

@@ -183,7 +183,7 @@ TEST(EventQueueTest, OversizedSlotsAreRecycled) {
   // Repeatedly scheduling oversized callbacks through the same queue
   // must reuse slots/blocks rather than grow without bound; this is a
   // behavioural check (counts), the allocation claim is covered by the
-  // sanitizer jobs and micro_event_queue.
+  // sanitizer jobs.
   EventQueue q;
   struct Big {
     char bytes[256];

@@ -7,8 +7,8 @@
 //   esr profile  render a threaded_server wall-clock profile (profile.cc)
 //   esr health   replay a series or journal through the health detectors
 //                (health.cc)
-//   esr bench    the fig07/fig11 regression rule over a registry trend or
-//                baseline:current pairs (bench.cc)
+//   esr bench    the fig07/fig11 regression gate over baseline:current
+//                report pairs (bench.cc)
 //
 // Run `esr` with no arguments for the flags of each.
 
@@ -38,7 +38,6 @@ int Usage() {
       "       esr profile --demo\n"
       "       esr health <series.csv> | --journal <health.json> | --demo"
       " [--json]\n"
-      "       esr bench <registry_dir> | --demo | --demo-regression\n"
       "       esr bench --check BASELINE:CURRENT [--check ...]\n"
       "exit status: 0 clean; 2 on a bound violation, negative headroom,\n"
       "health alert or throughput regression; 1 on usage or I/O errors\n");
