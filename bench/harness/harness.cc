@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -101,11 +103,18 @@ int JobsFromArgs(int argc, char** argv) {
   int jobs = 0;
   const std::string value = FlagValue(argc, argv, "--jobs", "ESR_BENCH_JOBS");
   if (!value.empty()) {
-    jobs = std::atoi(value.c_str());
-    if (jobs < 1) {
+    // A plain decimal with nothing after the digits: "2x" or "-1" must
+    // not silently run some other worker count.
+    errno = 0;
+    char* end = nullptr;
+    const long long parsed = std::strtoll(value.c_str(), &end, 10);
+    const bool valid = value[0] >= '0' && value[0] <= '9' && *end == '\0' &&
+                       errno != ERANGE && parsed >= 1 && parsed <= INT_MAX;
+    if (valid) {
+      jobs = static_cast<int>(parsed);
+    } else {
       std::fprintf(stderr, "ignoring invalid --jobs/ESR_BENCH_JOBS '%s'\n",
                    value.c_str());
-      jobs = 0;
     }
   }
   if (jobs == 0) {

@@ -54,7 +54,7 @@ bool SessionDriver::NextOp(OpRequest* out) {
     }
     if (txn_ == kInvalidTxnId) {
       if (!script_valid_) {
-        script_ = generator_.Next();
+        generator_.Next(&script_);
         script_valid_ = true;
         started_us_ = NowMicros();
       }

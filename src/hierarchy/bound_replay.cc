@@ -17,29 +17,35 @@ BoundWalkReplayer::Outcome BoundWalkReplayer::OnEvent(
 
   const bool admitted = (event.detail & 1) != 0;
   const int dir = (event.detail >> 1) & 1;
-  const ReplayKey key{event.txn, dir};
-  pending_[key].push_back(PendingNode{event.target, event.level,
-                                      event.ts_micros, event.charged,
-                                      event.limit});
   if (!admitted) {
     // Bottom-up short-circuit: the walk ends at the first reject and
     // nothing is charged.
-    pending_.erase(key);
+    if (const uint32_t* index = live_.Find(event.txn)) {
+      states_[*index].direction[dir].pending.clear();
+    }
     ++walks_replayed_;
     outcome.walk_completed = true;
     return outcome;
   }
+  DirectionState& state = StateFor(event.txn).direction[dir];
+  state.pending.push_back(PendingNode{event.target, event.level,
+                                      event.ts_micros, event.charged,
+                                      event.limit});
   if (event.level != 0) return outcome;  // walk still climbing to the root
 
-  auto& acc = replay_[key];
-  for (const PendingNode& node : pending_[key]) {
-    const double next = acc[node.group] + node.charge;
+  for (const PendingNode& node : state.pending) {
+    auto sum = std::find_if(
+        state.sums.begin(), state.sums.end(),
+        [&node](const NodeSum& s) { return s.group == node.group; });
+    if (sum == state.sums.end()) {
+      state.sums.push_back(NodeSum{node.group});
+      sum = state.sums.end() - 1;
+    }
+    const double next = sum->sum + node.charge;
     const double slack = 1e-9 * std::max(1.0, std::fabs(node.limit)) + 1e-12;
     if (node.limit != kUnbounded && next > node.limit + slack) {
-      const auto vkey = std::make_pair(key, node.group);
-      auto it = violation_index_.find(vkey);
-      if (it == violation_index_.end()) {
-        violation_index_[vkey] = violations_.size();
+      if (sum->violation < 0) {
+        sum->violation = static_cast<int64_t>(violations_.size());
         outcome.new_violation = static_cast<int>(violations_.size());
         BoundViolation v;
         v.txn = event.txn;
@@ -52,31 +58,46 @@ BoundWalkReplayer::Outcome BoundWalkReplayer::OnEvent(
         violations_.push_back(v);
       } else {
         // Still above the limit: remember how far it eventually got.
-        BoundViolation& v = violations_[it->second];
+        BoundViolation& v = violations_[static_cast<size_t>(sum->violation)];
         v.accumulated = std::max(v.accumulated, next);
       }
     }
-    acc[node.group] = next;
+    sum->sum = next;
     ++charges_applied_;
   }
-  pending_.erase(key);
+  state.pending.clear();
   ++walks_replayed_;
   outcome.walk_completed = true;
   return outcome;
 }
 
+BoundWalkReplayer::TxnState& BoundWalkReplayer::StateFor(TxnId txn) {
+  if (const uint32_t* index = live_.Find(txn)) return states_[*index];
+  uint32_t index;
+  if (free_states_.empty()) {
+    index = static_cast<uint32_t>(states_.size());
+    states_.emplace_back();
+  } else {
+    index = free_states_.back();
+    free_states_.pop_back();
+  }
+  live_.TryEmplace(txn, index);
+  return states_[index];
+}
+
 void BoundWalkReplayer::ReleaseTxn(TxnId txn) {
-  for (int dir = 0; dir < 2; ++dir) {
-    replay_.erase(ReplayKey{txn, dir});
-    pending_.erase(ReplayKey{txn, dir});
+  const uint32_t* index = live_.Find(txn);
+  if (index == nullptr) return;
+  // Once the transaction ends no further charge can reference its
+  // accumulators or its violations' dedup entries; the violations
+  // themselves stay recorded.
+  TxnState& state = states_[*index];
+  for (DirectionState& d : state.direction) {
+    d.pending.clear();
+    d.sums.clear();
   }
-  // The dedup index keeps already-recorded violations addressable while
-  // the transaction is live; once it ends no further charge can reference
-  // them, so drop the entries (the violations themselves stay recorded).
-  auto it = violation_index_.lower_bound({ReplayKey{txn, 0}, 0});
-  while (it != violation_index_.end() && it->first.first.first == txn) {
-    it = violation_index_.erase(it);
-  }
+  free_states_.push_back(*index);
+  live_.Erase(txn);
 }
 
 }  // namespace esr

@@ -3,11 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "hierarchy/accumulator.h"
 #include "obs/trace.h"
@@ -86,17 +84,44 @@ class BoundWalkReplayer {
     double limit = 0.0;
   };
 
-  /// Replay state is keyed per (transaction, accumulator direction):
-  /// import and export accumulators have independent bounds.
-  using ReplayKey = std::pair<TxnId, int>;
+  /// Replayed accumulation of one hierarchy node.
+  struct NodeSum {
+    uint64_t group = 0;
+    double sum = 0.0;
+    /// Index into violations_ of this node's first crossing, so a node
+    /// that stays above its limit yields one violation, not one per
+    /// subsequent charge; -1 until it crosses.
+    int64_t violation = -1;
+  };
 
+  /// One accumulator direction of one transaction: import and export
+  /// accumulators have independent bounds.
+  struct DirectionState {
+    std::vector<PendingNode> pending;
+    /// Nodes this direction has charged, in first-charge order. A
+    /// transaction charges only the groups on its objects' root paths, a
+    /// handful in every schema here, so a linear scan beats hashing.
+    std::vector<NodeSum> sums;
+  };
+
+  /// All replay state of one live transaction.
+  struct TxnState {
+    DirectionState direction[2];
+  };
+
+  /// The state of `txn`, taken from the pool when it has none.
+  TxnState& StateFor(TxnId txn);
   void ReleaseTxn(TxnId txn);
 
-  std::map<ReplayKey, std::unordered_map<uint64_t, double>> replay_;
-  std::map<ReplayKey, std::vector<PendingNode>> pending_;
-  /// First crossing per (txn, dir, group) so a node that stays above its
-  /// limit yields one violation, not one per subsequent charge.
-  std::map<std::pair<ReplayKey, uint64_t>, size_t> violation_index_;
+  /// Live transaction -> index into states_. The key is the TxnId alone
+  /// (never packed with the direction): traces read from files carry
+  /// arbitrary 64-bit ids.
+  FlatMap<TxnId, uint32_t> live_;
+  /// Pool of per-transaction states; a released state is cleared but
+  /// keeps its vectors' capacity for the next transaction, so replay
+  /// allocates nothing once the pool covers the in-flight population.
+  std::vector<TxnState> states_;
+  std::vector<uint32_t> free_states_;
   size_t walks_replayed_ = 0;
   size_t charges_applied_ = 0;
   std::vector<BoundViolation> violations_;

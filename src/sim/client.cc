@@ -40,7 +40,7 @@ void SimClient::Start(SimTime start_at) {
 }
 
 void SimClient::SubmitNextTransaction() {
-  script_ = generator_.Next();
+  generator_.Next(&script_);
   first_submit_at_ = queue_->now();
   BeginCurrentTransaction();
 }
@@ -69,9 +69,13 @@ void SimClient::BeginCurrentTransaction() {
       txn_ = server_->Begin(script_.type, ts, script_.bounds);
     }
     // The engine opened the transaction's lifetime span during Begin;
-    // this client's RPC spans parent to it across callbacks.
-    const Transaction* t = server_->engine().Find(txn_);
-    txn_span_ = t != nullptr ? t->trace_span() : 0;
+    // this client's RPC spans parent to it across callbacks. Spans open
+    // only under capture, so otherwise skip the registry lookup.
+    txn_span_ = 0;
+    if (GlobalTraceCapturing()) {
+      const Transaction* t = server_->engine().Find(txn_);
+      if (t != nullptr) txn_span_ = t->trace_span();
+    }
     queue_->ScheduleAfter(response_travel, [this] { IssueCurrentOp(); });
   });
 }
@@ -100,22 +104,21 @@ void SimClient::IssueCurrentOp() {
 
 void SimClient::ExecuteOpAtServer(SimTime response_travel) {
   const ScriptOp& op = script_.ops[op_index_];
-  OpResult result;
   {
     // Re-establish the in-flight RPC span as this callback's context so
     // the engine's op span (and the bound walk under it) parent to it.
     ScopedSpanParent rpc(rpc_span_);
     if (op.kind == ScriptOp::Kind::kRead) {
-      result = server_->Read(txn_, op.object);
+      op_result_ = server_->Read(txn_, op.object);
     } else {
-      result = server_->Write(txn_, op.object, WriteValueFor(op));
+      op_result_ = server_->Write(txn_, op.object, WriteValueFor(op));
     }
   }
-  queue_->ScheduleAfter(response_travel,
-                        [this, result] { HandleOpResult(result); });
+  queue_->ScheduleAfter(response_travel, [this] { HandleOpResult(); });
 }
 
-void SimClient::HandleOpResult(const OpResult& result) {
+void SimClient::HandleOpResult() {
+  const OpResult& result = op_result_;
   // Response delivered: the RPC leg is over regardless of the verdict.
   EndSpan(SpanKind::kRpc, rpc_span_, txn_, site_);
   rpc_span_ = 0;

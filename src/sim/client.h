@@ -92,7 +92,8 @@ class SimClient {
   /// Runs at the server once the request has arrived and a CPU slot is
   /// free; sends the response back.
   void ExecuteOpAtServer(SimTime response_travel);
-  void HandleOpResult(const OpResult& result);
+  /// The response to the op RPC has landed: acts on op_result_.
+  void HandleOpResult();
   void IssueCommit();
   /// The value a write op sends, derived from this attempt's reads.
   Value WriteValueFor(const ScriptOp& op) const;
@@ -119,6 +120,11 @@ class SimClient {
   SimTime first_submit_at_ = 0;
   /// Issue instant of the op RPC in flight, for per-op latency.
   SimTime op_issued_at_ = 0;
+  /// The server's verdict on the op RPC in flight, read when its
+  /// response lands. A member rather than a capture keeps the response
+  /// event to one word (`this`); with one outstanding RPC per client it
+  /// cannot be overwritten before it is read.
+  OpResult op_result_;
   /// Inconsistency imported/exported by the current attempt's OK ops;
   /// folded into stats_ only if the attempt commits.
   double attempt_inconsistency_ = 0.0;

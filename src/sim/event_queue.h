@@ -95,8 +95,9 @@ class EventQueue {
 
  private:
   /// Inline capture budget. Covers every simulator callback (the largest,
-  /// [this, OpResult], is 56 bytes) and a small-buffer std::function;
-  /// larger callables take the recycled oversize path.
+  /// the client's [this, Timestamp, SimTime] BEGIN leg, is 32 bytes) and
+  /// a small-buffer std::function; larger callables take the recycled
+  /// oversize path.
   static constexpr size_t kInlineCallbackBytes = 64;
   /// Slots per pool chunk. Chunked storage keeps slot addresses stable
   /// while the pool grows (callables must never be memcpy'd).

@@ -1,7 +1,6 @@
 #include "workload/generator.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -14,60 +13,50 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec& spec, uint64_t seed)
             spec_.query_ops_min <= spec_.query_ops_max);
   ESR_CHECK(spec_.update_ops_min >= 2 &&
             spec_.update_ops_min <= spec_.update_ops_max);
+  if (!spec_.bound_factory) {
+    query_bounds_ = BoundSpec::TransactionOnly(spec_.til);
+    update_bounds_ = BoundSpec::TransactionOnly(spec_.tel);
+  }
 }
 
-TxnScript WorkloadGenerator::Next() {
-  return rng_.Bernoulli(spec_.query_fraction) ? NextQuery() : NextUpdate();
+void WorkloadGenerator::Next(TxnScript* out) {
+  if (rng_.Bernoulli(spec_.query_fraction)) {
+    FillQuery(out);
+  } else {
+    FillUpdate(out);
+  }
 }
 
-TxnScript WorkloadGenerator::NextQuery() {
-  TxnScript script;
-  script.type = TxnType::kQuery;
-  script.bounds = BoundsFor(TxnType::kQuery);
+void WorkloadGenerator::FillQuery(TxnScript* out) {
+  out->type = TxnType::kQuery;
+  AssignBounds(TxnType::kQuery, &out->bounds);
+  out->update_import_limit = 0;
+  out->ops.clear();
   const size_t n = static_cast<size_t>(
       rng_.UniformInt(spec_.query_ops_min, spec_.query_ops_max));
-  for (const ObjectId object : SampleObjects(n, spec_.query_hot_prob)) {
-    ScriptOp op;
-    op.kind = ScriptOp::Kind::kRead;
-    op.object = object;
-    script.ops.push_back(op);
-  }
-  return script;
+  SampleObjects(n, spec_.query_hot_prob, ScriptOp::Kind::kRead, &out->ops);
 }
 
-TxnScript WorkloadGenerator::NextUpdate() {
-  TxnScript script;
-  script.type = TxnType::kUpdate;
-  script.bounds = BoundsFor(TxnType::kUpdate);
-  script.update_import_limit = spec_.update_import_til;
+void WorkloadGenerator::FillUpdate(TxnScript* out) {
+  out->type = TxnType::kUpdate;
+  AssignBounds(TxnType::kUpdate, &out->bounds);
+  out->update_import_limit = spec_.update_import_til;
+  out->ops.clear();
   const int64_t total =
       rng_.UniformInt(spec_.update_ops_min, spec_.update_ops_max);
   // Roughly half reads, half writes; at least one of each. The paper's
   // example update ETs interleave, with writes derived from earlier reads.
   const int64_t num_reads = std::max<int64_t>(1, total / 2);
   const int64_t num_writes = std::max<int64_t>(1, total - num_reads);
-  // Reads and writes target disjoint objects, with different hot-set
+  // Reads and writes are sampled separately, with different hot-set
   // affinity each (see WorkloadSpec).
-  std::vector<ObjectId> objects =
-      SampleObjects(static_cast<size_t>(num_reads),
-                    spec_.update_read_hot_prob);
-  {
-    std::vector<ObjectId> write_objects = SampleObjects(
-        static_cast<size_t>(num_writes), spec_.update_write_hot_prob);
-    objects.insert(objects.end(), write_objects.begin(),
-                   write_objects.end());
-  }
+  SampleObjects(static_cast<size_t>(num_reads), spec_.update_read_hot_prob,
+                ScriptOp::Kind::kRead, &out->ops);
+  SampleObjects(static_cast<size_t>(num_writes), spec_.update_write_hot_prob,
+                ScriptOp::Kind::kWrite, &out->ops);
 
-  for (int64_t i = 0; i < num_reads; ++i) {
-    ScriptOp op;
-    op.kind = ScriptOp::Kind::kRead;
-    op.object = objects[static_cast<size_t>(i)];
-    script.ops.push_back(op);
-  }
-  for (int64_t i = 0; i < num_writes; ++i) {
-    ScriptOp op;
-    op.kind = ScriptOp::Kind::kWrite;
-    op.object = objects[static_cast<size_t>(num_reads + i)];
+  for (size_t i = static_cast<size_t>(num_reads); i < out->ops.size(); ++i) {
+    ScriptOp& op = out->ops[i];
     op.source_read = static_cast<int32_t>(rng_.UniformInt(0, num_reads - 1));
     // Two-point delta mixture (see WorkloadSpec): |delta| uniform in
     // [m/2, 3m/2] around the chosen magnitude class, random sign.
@@ -76,9 +65,7 @@ TxnScript WorkloadGenerator::NextUpdate() {
                         : spec_.small_write_delta;
     const Value magnitude = rng_.UniformInt(m / 2, m + m / 2);
     op.delta = rng_.Bernoulli(0.5) ? magnitude : -magnitude;
-    script.ops.push_back(op);
   }
-  return script;
 }
 
 std::vector<TxnScript> WorkloadGenerator::MakeLoad(size_t n) {
@@ -88,17 +75,23 @@ std::vector<TxnScript> WorkloadGenerator::MakeLoad(size_t n) {
   return load;
 }
 
-std::vector<ObjectId> WorkloadGenerator::SampleObjects(size_t n,
-                                                        double hot_prob) {
+void WorkloadGenerator::SampleObjects(size_t n, double hot_prob,
+                                      ScriptOp::Kind kind,
+                                      std::vector<ScriptOp>* ops) {
   ESR_CHECK(n <= spec_.num_objects);
-  std::vector<ObjectId> objects;
-  std::unordered_set<ObjectId> seen;
-  objects.reserve(n);
-  while (objects.size() < n) {
+  const size_t begin = ops->size();
+  while (ops->size() - begin < n) {
     const ObjectId candidate = SampleOneObject(hot_prob);
-    if (seen.insert(candidate).second) objects.push_back(candidate);
+    const auto first = ops->begin() + static_cast<std::ptrdiff_t>(begin);
+    if (std::none_of(first, ops->end(), [candidate](const ScriptOp& op) {
+          return op.object == candidate;
+        })) {
+      ScriptOp op;
+      op.kind = kind;
+      op.object = candidate;
+      ops->push_back(op);
+    }
   }
-  return objects;
 }
 
 ObjectId WorkloadGenerator::SampleOneObject(double hot_prob) {
@@ -111,10 +104,12 @@ ObjectId WorkloadGenerator::SampleOneObject(double hot_prob) {
                       static_cast<int64_t>(spec_.num_objects) - 1));
 }
 
-BoundSpec WorkloadGenerator::BoundsFor(TxnType type) {
-  if (spec_.bound_factory) return spec_.bound_factory(type);
-  return BoundSpec::TransactionOnly(type == TxnType::kQuery ? spec_.til
-                                                            : spec_.tel);
+void WorkloadGenerator::AssignBounds(TxnType type, BoundSpec* out) {
+  if (spec_.bound_factory) {
+    *out = spec_.bound_factory(type);
+  } else {
+    out->AssignFrom(type == TxnType::kQuery ? query_bounds_ : update_bounds_);
+  }
 }
 
 Value ApplyDeltaReflecting(Value base, Value delta, Value min_value,

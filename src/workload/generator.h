@@ -16,11 +16,29 @@ class WorkloadGenerator {
  public:
   WorkloadGenerator(const WorkloadSpec& spec, uint64_t seed);
 
-  /// Next transaction, query with probability spec.query_fraction.
-  TxnScript Next();
+  /// Fills `out` in place with the next transaction, a query with
+  /// probability spec.query_fraction. Every field is overwritten; `ops`
+  /// keeps its capacity, so a caller that reuses one script (the
+  /// simulated client, the session driver) allocates nothing per
+  /// transaction once the buffer has grown to the largest script.
+  void Next(TxnScript* out);
 
-  TxnScript NextQuery();
-  TxnScript NextUpdate();
+  /// Value-returning forms of the same stream (one fresh script each).
+  TxnScript Next() {
+    TxnScript script;
+    Next(&script);
+    return script;
+  }
+  TxnScript NextQuery() {
+    TxnScript script;
+    FillQuery(&script);
+    return script;
+  }
+  TxnScript NextUpdate() {
+    TxnScript script;
+    FillUpdate(&script);
+    return script;
+  }
 
   /// A whole load file of `n` transactions.
   std::vector<TxnScript> MakeLoad(size_t n);
@@ -28,14 +46,24 @@ class WorkloadGenerator {
   const WorkloadSpec& spec() const { return spec_; }
 
  private:
-  /// Samples `n` distinct objects with the hot-set access skew (one read
-  /// per object per transaction, Sec. 3.2.1).
-  std::vector<ObjectId> SampleObjects(size_t n, double hot_prob);
+  void FillQuery(TxnScript* out);
+  void FillUpdate(TxnScript* out);
+  /// Appends `n` ops of `kind` on distinct objects drawn with the
+  /// hot-set access skew (one read per object per transaction,
+  /// Sec. 3.2.1). Distinctness holds among the ops this call appends;
+  /// a rejected draw is a repeat of one of them, found by a linear scan
+  /// (n <= 24 for every spec here, cheaper than hashing).
+  void SampleObjects(size_t n, double hot_prob, ScriptOp::Kind kind,
+                     std::vector<ScriptOp>* ops);
   ObjectId SampleOneObject(double hot_prob);
-  BoundSpec BoundsFor(TxnType type);
+  void AssignBounds(TxnType type, BoundSpec* out);
 
   WorkloadSpec spec_;
   Rng rng_;
+  /// The til/tel declarations, built once (unused under a bound_factory);
+  /// AssignFrom copies them into a reused script without allocating.
+  BoundSpec query_bounds_;
+  BoundSpec update_bounds_;
 };
 
 /// Applies a write delta while keeping the value inside

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/series.h"
@@ -70,6 +71,22 @@ TEST(JobsFromArgsTest, FlagWinsOverEnvironment) {
   EXPECT_EQ(JobsFromArgs(args.argc(), args.argv()), 5);
   Argv no_flag({"bin"});
   EXPECT_EQ(JobsFromArgs(no_flag.argc(), no_flag.argv()), 3);
+  ::unsetenv("ESR_BENCH_JOBS");
+}
+
+TEST(JobsFromArgsTest, RejectsAnythingButAPositiveInteger) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw == 0 ? 1 : static_cast<int>(hw);
+  for (const char* bad : {"2x", "abc", "0", "-1", "+2", " 2", "", "1.5"}) {
+    SCOPED_TRACE(bad);
+    Argv args({"bin", "--jobs", bad});
+    EXPECT_EQ(JobsFromArgs(args.argc(), args.argv()), fallback);
+  }
+  Argv good({"bin", "--jobs", "3"});
+  EXPECT_EQ(JobsFromArgs(good.argc(), good.argv()), 3);
+  ::setenv("ESR_BENCH_JOBS", "2x", /*overwrite=*/1);
+  Argv no_flag({"bin"});
+  EXPECT_EQ(JobsFromArgs(no_flag.argc(), no_flag.argv()), fallback);
   ::unsetenv("ESR_BENCH_JOBS");
 }
 

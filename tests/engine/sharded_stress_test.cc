@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -46,10 +47,6 @@ namespace {
 constexpr size_t kObjects = 240;
 constexpr size_t kGroups = 6;
 
-// gtest prints a parameter without operator<< as a raw byte dump, and
-// CMake's test discovery bakes that dump into each ctest name. The name
-// pointer goes last so the leading bytes are the fixed numeric fields
-// rather than an ASLR-dependent address.
 struct StressConfig {
   size_t shards;
   size_t sessions;  // MPL
@@ -69,6 +66,11 @@ struct StressConfig {
   size_t hot_set = 20;
   const char* name = "";
 };
+
+// Without this, gtest prints a StressConfig as a byte dump that includes
+// the ASLR-dependent name pointer and padding bytes, and CMake's test
+// discovery bakes that dump into the ctest names.
+void PrintTo(const StressConfig& cfg, std::ostream* os) { *os << cfg.name; }
 
 std::string ConfigName(const ::testing::TestParamInfo<StressConfig>& info) {
   return info.param.name;
