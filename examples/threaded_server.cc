@@ -20,7 +20,7 @@
 // more shards and the batched worker pool:
 //
 //   --shards N    run the sharded TO engine with N shards (per-shard
-//                 latch, arena history, group commit); per-shard
+//                 latch, arena history, per-transaction commit); per-shard
 //                 engine.shard<i>.* gauges are exported on /metrics.
 //   --workers N   drive the clients as multiplexed sessions over N worker
 //                 threads (engine/sharded/session.h) instead of one OS
@@ -545,7 +545,7 @@ int main(int argc, char** argv) {
         if (sharded != nullptr) {
           // Per-shard engine.shard<i>.* gauges, refreshed every tick so
           // scrapes see live per-shard op/commit/batch counts. Safe
-          // against concurrent group commit: each gauge reads one shard's
+          // against concurrent commits: each gauge reads one shard's
           // stats under its latch (see shard_gauges_test.cc).
           sharded->ExportShardGauges(&server.metrics());
         }
@@ -567,7 +567,8 @@ int main(int argc, char** argv) {
     if (num_workers > 0) {
       // Worker-pool mode: clients are multiplexed sessions, not OS
       // threads, so num_clients can be in the thousands. Ops reach the
-      // engine as per-shard batches and commits ride group commit.
+      // engine as per-shard batches, and each worker commits its own
+      // sessions' transactions inline.
       esr::SessionPoolOptions pool;
       pool.sessions = static_cast<size_t>(num_clients);
       pool.txns_per_session = txns_per_client;

@@ -80,9 +80,9 @@ bool SessionDriver::NextOp(OpRequest* out) {
       }
       return true;
     }
-    // Script exhausted: commit inline. For the sharded engine this blocks
-    // in group commit — the worker that drove us here is either a
-    // follower (cheap) or becomes the leader for the whole batch.
+    // Script exhausted: commit inline. The sharded engine installs this
+    // transaction's writes and drops its reads right here on the worker,
+    // one shard latch at a time; no other committer is waited for.
     if (server_->Commit(txn_).ok()) {
       ++stats_.committed;
       ++completed_;

@@ -31,10 +31,11 @@ struct SessionStats {
 /// submit its ops in order, retry an op that waited, resubmit the whole
 /// script with a fresh timestamp after an abort, and count a commit only
 /// when the server accepts it. Begin and Commit run inline inside
-/// NextOp — Commit blocks in the engine's group commit, which is exactly
-/// the batching point — while Read/Write ops are handed out one at a time
-/// for the worker to execute (batched through ShardedEngine::ExecuteBatch
-/// or per-op against any other engine).
+/// NextOp — the sharded engine commits the transaction on the calling
+/// worker thread, latching its shards one at a time, and never parks it
+/// behind another committer — while Read/Write ops are handed out one at
+/// a time for the worker to execute (batched through
+/// ShardedEngine::ExecuteBatch or per-op against any other engine).
 ///
 /// Usage per round: if NextOp fills an OpRequest, execute it and feed the
 /// verdict back through OnResult before asking again. One in-flight op

@@ -17,22 +17,24 @@ namespace esr {
 
 /// Multi-field per-shard statistics, mutated only under the shard latch so
 /// a snapshot taken under the same latch is internally consistent (the
-/// torn-read regression test scrapes these mid-group-commit). The fields
-/// form a monotone chain every consistent snapshot satisfies:
+/// torn-read regression test scrapes these while commits land). The
+/// fields form a monotone chain every consistent snapshot satisfies:
 ///
 ///   applied_writes >= committed_writes >= committed_writers
 ///                  >= commit_batches
 ///
-/// (every commit batch that touches the shard commits >= 1 writer, every
-/// writer commits >= 1 write, and every committed write was first applied
-/// as a shadow install).
+/// (every writer commits >= 1 write, and every committed write was first
+/// applied as a shadow install; a transaction commits on its own, so each
+/// commit batch is exactly one writer).
 struct ShardStats {
   int64_t ops = 0;             ///< Read/Write ops served under the latch.
   int64_t waits = 0;           ///< Ops answered kWait (strict ordering).
   int64_t applied_writes = 0;  ///< Shadow installs (ApplyWrite calls).
   int64_t committed_writes = 0;
   int64_t committed_writers = 0;  ///< Distinct txns with commits here.
-  int64_t commit_batches = 0;  ///< Group-commit batches with writes here.
+  /// Commits that wrote on this shard (one batch per commit, so equal to
+  /// committed_writers).
+  int64_t commit_batches = 0;
 };
 
 /// One committed write, in the order the shard committed it. With

@@ -15,6 +15,11 @@ size_t RoundUpPow2(size_t v) {
   return p;
 }
 
+/// ReleaseFootprint's per-thread scratch: the shard of each pending
+/// write, then of each registered read, so the per-shard passes compare
+/// small integers instead of redoing a modulo per object per shard.
+thread_local std::vector<uint32_t> t_footprint_shards;
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(const ShardedEngineOptions& options,
@@ -43,8 +48,6 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options,
   for (size_t i = 0; i < stripes; ++i) {
     stripes_.push_back(std::make_unique<TxnStripe>());
   }
-  leader_writes_.resize(map_.num_shards);
-  leader_reads_.resize(map_.num_shards);
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -58,7 +61,7 @@ void ShardedEngine::ReserveForLoad(const LoadHints& hints) {
     // transient imbalance is free to absorb up front.
     const size_t per_stripe = 2 * (hints.concurrent_txns / stripes_.size() + 1);
     for (auto& stripe : stripes_) {
-      std::lock_guard<std::mutex> lock(stripe->mu);
+      std::lock_guard<SpinMutex> lock(stripe->mu);
       stripe->map.Reserve(per_stripe);
       stripe->pool.reserve(per_stripe);
     }
@@ -81,7 +84,7 @@ void ShardedEngine::SetSharedBounds(const BoundSpec& import_bounds,
 
 Transaction* ShardedEngine::FindLive(TxnId txn) {
   TxnStripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
+  std::lock_guard<SpinMutex> lock(stripe.mu);
   std::unique_ptr<Transaction>* slot = stripe.map.Find(txn);
   return slot == nullptr ? nullptr : slot->get();
 }
@@ -105,7 +108,7 @@ TxnId ShardedEngine::BeginWith(TxnType type, Timestamp ts,
   TxnStripe& stripe = StripeFor(id);
   Transaction* txn;
   {
-    std::lock_guard<std::mutex> lock(stripe.mu);
+    std::lock_guard<SpinMutex> lock(stripe.mu);
     std::unique_ptr<Transaction> shell;
     if (!stripe.pool.empty()) {
       shell = std::move(stripe.pool.back());
@@ -214,88 +217,60 @@ Status ShardedEngine::Commit(TxnId txn) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
   }
-  CommitWaiter waiter;
-  waiter.txn = t;
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  commit_queue_.push_back(&waiter);
-  if (commit_leader_active_) {
-    // Follower: a leader is draining; it will commit us and flip done.
-    // The block is pure waiting, so it books as kLockWait (not commit
-    // work) and charges a dedicated contention site — group-commit
-    // convoying shows up in the blocker tables instead of hiding
-    // inside kCommit self-time. The leader's txn id is not tracked
-    // across the handoff, so the wait is unattributed.
-    ScopedPhaseTimer wait_phase(ProfilePhase::kLockWait);
-    ScopedSiteWait wait(GlobalProfiler().site("engine.group_commit.follower"),
-                        kInvalidTxnId);
-    commit_cv_.wait(lock, [&waiter] { return waiter.done; });
-    return Status::OK();
+  {
+    // Installing the writes is store mutation, not commit bookkeeping.
+    ScopedPhaseTimer apply_phase(ProfilePhase::kApply);
+    ReleaseFootprint(t, /*commit=*/true);
   }
-  // Leader: drain the queue in batches until it runs dry. Our own waiter
-  // is in the first batch. Leadership (and with it the leader_* scratch)
-  // hands off through commit_mu_, which orders successive leaders.
-  commit_leader_active_ = true;
-  while (!commit_queue_.empty()) {
-    leader_batch_.clear();
-    leader_batch_.swap(commit_queue_);
-    lock.unlock();
-    ProcessCommitBatch(leader_batch_);
-    lock.lock();
-    for (CommitWaiter* w : leader_batch_) w->done = true;
-    commit_cv_.notify_all();
-  }
-  commit_leader_active_ = false;
+  commit_batches_total_.fetch_add(1, std::memory_order_relaxed);
+  FinishCommit(t);
   return Status::OK();
 }
 
-void ShardedEngine::ProcessCommitBatch(
-    const std::vector<CommitWaiter*>& batch) {
-  // The batched shard-store mutation is apply work, not commit
-  // bookkeeping: attribute it to kApply (nested under the leader's
-  // kCommit scope) so batch size shows up in the phase attribution.
-  ScopedPhaseTimer apply_phase(ProfilePhase::kApply);
-  // Txn-major fill keeps each transaction's refs contiguous per shard, so
-  // the distinct-writer count below is a simple adjacency check.
-  for (CommitWaiter* w : batch) {
-    Transaction* t = w->txn;
-    for (const ObjectId object : t->pending_writes()) {
-      leader_writes_[map_.ShardOf(object)].push_back({t, object});
-    }
-    for (const ObjectId object : t->registered_reads()) {
-      leader_reads_[map_.ShardOf(object)].push_back({t, object});
-    }
+void ShardedEngine::ReleaseFootprint(Transaction* txn, bool commit) {
+  const std::vector<ObjectId>& writes = txn->pending_writes();
+  const std::vector<ObjectId>& reads = txn->registered_reads();
+  std::vector<uint32_t>& shard_of = t_footprint_shards;
+  shard_of.clear();
+  for (const ObjectId object : writes) {
+    shard_of.push_back(static_cast<uint32_t>(map_.ShardOf(object)));
   }
-  commit_batches_total_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::vector<PendingRef>& writes = leader_writes_[s];
-    std::vector<PendingRef>& reads = leader_reads_[s];
-    if (writes.empty() && reads.empty()) continue;
+  for (const ObjectId object : reads) {
+    shard_of.push_back(static_cast<uint32_t>(map_.ShardOf(object)));
+  }
+  // Ascending shard order, one latch at a time. On abort this is the
+  // shadow-value recovery of Sec. 6.
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    if (std::find(shard_of.begin(), shard_of.end(), s) == shard_of.end()) {
+      continue;
+    }
     Shard& shard = *shards_[s];
     std::lock_guard<ProfiledMutex> lock(shard.latch());
-    ShardStats& stats = shard.stats();
-    if (!writes.empty()) {
-      stats.commit_batches++;
-      const Transaction* prev = nullptr;
-      for (const PendingRef& ref : writes) {
-        ObjectRecord& obj = shard.store().Get(map_.LocalId(ref.object));
-        obj.CommitWrite(ref.txn->id());
-        shard.RecordCommit(ref.object, ref.txn->id(), obj.write_ts());
-        stats.committed_writes++;
-        if (ref.txn != prev) {
-          stats.committed_writers++;
-          prev = ref.txn;
-        }
+    shard.latch().set_holder(txn->id());
+    int64_t committed = 0;
+    for (size_t i = 0; i < writes.size(); ++i) {
+      if (shard_of[i] != s) continue;
+      ObjectRecord& obj = shard.store().Get(map_.LocalId(writes[i]));
+      if (commit) {
+        obj.CommitWrite(txn->id());
+        shard.RecordCommit(writes[i], txn->id(), obj.write_ts());
+        ++committed;
+      } else {
+        obj.AbortWrite(txn->id());
       }
     }
-    for (const PendingRef& ref : reads) {
-      shard.store()
-          .Get(map_.LocalId(ref.object))
-          .UnregisterQueryReader(ref.txn->id());
+    if (committed > 0) {
+      ShardStats& stats = shard.stats();
+      stats.committed_writes += committed;
+      stats.committed_writers++;
+      stats.commit_batches++;
     }
-    writes.clear();
-    reads.clear();
+    for (size_t i = 0; i < reads.size(); ++i) {
+      if (shard_of[writes.size() + i] != s) continue;
+      shard.store().Get(map_.LocalId(reads[i])).UnregisterQueryReader(
+          txn->id());
+    }
   }
-  for (CommitWaiter* w : batch) FinishCommit(w->txn);
 }
 
 void ShardedEngine::FinishCommit(Transaction* txn) {
@@ -326,38 +301,7 @@ void ShardedEngine::TeardownAbort(Transaction* txn, AbortReason reason) {
   // nested scope keeps shadow recovery out of kValidate self-time when
   // a mid-operation abort lands here.
   ScopedPhaseTimer phase(ProfilePhase::kCommit);
-  // Shadow-value recovery shard by shard (Sec. 6): one latch at a time,
-  // ascending, filtering the write/read sets per shard. Aborts are the
-  // cold path; the filter scan is cheaper than per-shard scratch here.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    bool touches = false;
-    for (const ObjectId object : txn->pending_writes()) {
-      if (map_.ShardOf(object) == s) {
-        touches = true;
-        break;
-      }
-    }
-    if (!touches) {
-      for (const ObjectId object : txn->registered_reads()) {
-        if (map_.ShardOf(object) == s) {
-          touches = true;
-          break;
-        }
-      }
-    }
-    if (!touches) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<ProfiledMutex> lock(shard.latch());
-    shard.latch().set_holder(txn->id());
-    for (const ObjectId object : txn->pending_writes()) {
-      if (map_.ShardOf(object) != s) continue;
-      shard.store().Get(map_.LocalId(object)).AbortWrite(txn->id());
-    }
-    for (const ObjectId object : txn->registered_reads()) {
-      if (map_.ShardOf(object) != s) continue;
-      shard.store().Get(map_.LocalId(object)).UnregisterQueryReader(txn->id());
-    }
-  }
+  ReleaseFootprint(txn, /*commit=*/false);
   counters_.RecordFinish(*txn, reason);
   UnchargeShared(*txn);
   ReleaseTxn(txn);
@@ -382,7 +326,7 @@ void ShardedEngine::UnchargeShared(const Transaction& txn) {
 void ShardedEngine::ReleaseTxn(Transaction* txn) {
   const TxnId id = txn->id();
   TxnStripe& stripe = StripeFor(id);
-  std::lock_guard<std::mutex> lock(stripe.mu);
+  std::lock_guard<SpinMutex> lock(stripe.mu);
   std::unique_ptr<Transaction>* slot = stripe.map.Find(id);
   ESR_CHECK(slot != nullptr) << "double release of transaction " << id;
   stripe.pool.push_back(std::move(*slot));
@@ -392,13 +336,13 @@ void ShardedEngine::ReleaseTxn(Transaction* txn) {
 
 bool ShardedEngine::IsActive(TxnId txn) const {
   const TxnStripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
+  std::lock_guard<SpinMutex> lock(stripe.mu);
   return stripe.map.Contains(txn);
 }
 
 const Transaction* ShardedEngine::Find(TxnId txn) const {
   const TxnStripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
+  std::lock_guard<SpinMutex> lock(stripe.mu);
   const std::unique_ptr<Transaction>* slot = stripe.map.Find(txn);
   return slot == nullptr ? nullptr : slot->get();
 }

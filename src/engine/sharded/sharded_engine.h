@@ -2,13 +2,12 @@
 #define ESR_ENGINE_SHARDED_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/flat_map.h"
 #include "common/metrics.h"
+#include "common/spin_mutex.h"
 #include "engine/sharded/shard.h"
 #include "engine/sharded/shard_map.h"
 #include "engine/sharded/sharded_accumulator.h"
@@ -65,20 +64,21 @@ struct OpBatch {
 /// Concurrency architecture (DESIGN.md §"Sharded engine"):
 ///  * Object state is guarded by the owning shard's latch; an operation
 ///    takes exactly one. No code path ever holds two shard latches at
-///    once (commit applies shard by shard), so there is no latch ordering
-///    to violate and no deadlock.
-///  * Transaction state lives in a striped table (mutex + FlatMap of
+///    once (commit and abort walk the shards one at a time), so there is
+///    no latch ordering to violate and no deadlock.
+///  * Transaction state lives in a striped table (SpinMutex + FlatMap of
 ///    unique_ptr per stripe, so pointers survive backward-shift erases of
 ///    their neighbors). A Transaction's contents are only ever touched by
-///    its owning session thread and, at commit, by the group-commit
-///    leader — handoff through the commit queue's mutex orders the two.
-///  * Commit is group commit: committers enqueue and the first becomes
-///    leader, draining the queue in batches. The leader takes each
-///    touched shard's latch once per batch (commits all writes and
-///    reader deregistrations for that shard together), then finishes
-///    every transaction and wakes its waiter. Followers block on the
-///    condition variable — the group amortizes latch traffic under high
-///    MPL.
+///    its owning session thread.
+///  * Each transaction commits itself on the calling thread: it walks
+///    the shards it touched in ascending order, one latch at a time,
+///    commits its own pending writes and drops its reader registrations
+///    there, then finishes. Nothing queues behind another committer, and
+///    a query ET's commit only deregisters its reads.
+///  * Every latch and stripe lock spins briefly before it parks
+///    (SpinMutex): critical sections are far shorter than a futex sleep
+///    and wakeup, so a collision costs a few pauses instead of a context
+///    switch.
 ///  * Per-transaction accumulators work the same at any shard count
 ///    (same trace events, so BoundWalkReplayer / StreamCertifier
 ///    recertify unchanged). An optional engine-wide budget
@@ -155,11 +155,11 @@ class ShardedEngine final : public TransactionEngine {
   const std::vector<CommitLogEntry>& commit_log(size_t shard) const;
 
   /// Publishes `engine.shard<i>.*` gauges from consistent per-shard
-  /// snapshots (one latch acquisition per shard), the group-commit batch
-  /// counters, and — when shared bounds are installed — the shared
-  /// accumulators' in-flight node totals. Safe concurrently with running
-  /// operations and group commit; the scrape serializes on each shard
-  /// latch briefly instead of reading fields torn.
+  /// snapshots (one latch acquisition per shard), the commit counter,
+  /// and — when shared bounds are installed — the shared accumulators'
+  /// in-flight node totals. Safe concurrently with running operations
+  /// and commits; the scrape serializes on each shard latch briefly
+  /// instead of reading fields torn.
   void ExportShardGauges(MetricRegistry* metrics);
 
   /// Sum of all committed object values across shards (quiescent only).
@@ -180,7 +180,8 @@ class ShardedEngine final : public TransactionEngine {
   /// (quiescent only — no latch is taken).
   Shard& shard(size_t s) { return *shards_[s]; }
 
-  /// Group-commit batches the leader processed (relaxed).
+  /// Commit batches (relaxed). Every transaction commits on its own, so
+  /// this is one batch per commit.
   int64_t commit_batches() const {
     return commit_batches_total_.load(std::memory_order_relaxed);
   }
@@ -190,22 +191,9 @@ class ShardedEngine final : public TransactionEngine {
 
  private:
   struct TxnStripe {
-    mutable std::mutex mu;
+    mutable SpinMutex mu;
     FlatMap<TxnId, std::unique_ptr<Transaction>> map;
     std::vector<std::unique_ptr<Transaction>> pool;
-  };
-
-  /// One committer parked in the group-commit queue.
-  struct CommitWaiter {
-    Transaction* txn = nullptr;
-    bool done = false;
-  };
-
-  /// (transaction, global object id) pair on the leader's per-shard
-  /// apply lists.
-  struct PendingRef {
-    Transaction* txn;
-    ObjectId object;
   };
 
   TxnStripe& StripeFor(TxnId txn) {
@@ -237,15 +225,18 @@ class ShardedEngine final : public TransactionEngine {
   OpResult ExecuteLatched(Transaction& txn, const OpRequest& req,
                           Shard& shard);
 
-  /// Group-commit leader body: apply every batch member's writes and
-  /// reader deregistrations shard by shard, then finish each transaction.
-  void ProcessCommitBatch(const std::vector<CommitWaiter*>& batch);
+  /// Walks the shards `txn` touched in ascending order, one latch at a
+  /// time: commits its pending writes there (booking the shard's commit
+  /// stats) or, for an abort, restores their shadows, and drops its
+  /// reader registrations. Must be called with no shard latch held.
+  void ReleaseFootprint(Transaction* txn, bool commit);
+
+  /// Emits the commit events, releases shared charges, recycles the
+  /// shell.
   void FinishCommit(Transaction* txn);
 
-  /// Abort teardown (op-failure or user abort): restores shadows and
-  /// deregisters readers shard by shard (one latch at a time), emits the
-  /// abort events, releases shared charges, recycles the shell. Must be
-  /// called with no shard latch held.
+  /// Abort teardown (op-failure or user abort): ReleaseFootprint, then
+  /// the abort events, shared-charge release and shell recycling.
   void TeardownAbort(Transaction* txn, AbortReason reason);
 
   /// Returns the txn's charges to the shared budgets.
@@ -269,16 +260,6 @@ class ShardedEngine final : public TransactionEngine {
   std::unique_ptr<ShardedAccumulator> shared_import_;
   std::unique_ptr<ShardedAccumulator> shared_export_;
 
-  // -- Group commit --------------------------------------------------------
-  std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  std::vector<CommitWaiter*> commit_queue_;
-  bool commit_leader_active_ = false;
-  /// Leader-only scratch (leadership hands off under commit_mu_, which
-  /// orders successive leaders' accesses).
-  std::vector<CommitWaiter*> leader_batch_;
-  std::vector<std::vector<PendingRef>> leader_writes_;
-  std::vector<std::vector<PendingRef>> leader_reads_;
   std::atomic<int64_t> commit_batches_total_{0};
 
   EngineCounters counters_;

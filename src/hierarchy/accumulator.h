@@ -192,7 +192,7 @@ class InconsistencyAccumulator {
     // Dispatch inline so call sites on the per-operation hot path reach
     // the untraced walk — whose frame matches an ESR_TRACE_DISABLED
     // build's exactly — through one predicted branch.
-    if (GlobalTraceEnabled()) {
+    if (GlobalTraceWants(TraceEventType::kBoundCheck)) {
       return TryChargeImpl<true>(object, d, stats, txn, site);
     }
     return TryChargeImpl<false>(object, d, stats, txn, site);

@@ -366,12 +366,13 @@ void ProfiledMutex::LockProfiled() {
   }
   site->RecordAcquisition();
   if (mu_.try_lock()) return;
-  // Contended: read who holds the latch *before* blocking, then time the
-  // wait. The holder may change mid-wait; blaming the holder at wait
-  // start matches what a sampling profiler would observe.
+  // Contended: read who holds the latch at the failed try_lock, then
+  // time the wait from there, so a wait the spin absorbs still counts.
+  // The holder may change mid-wait; blaming the holder at wait start
+  // matches what a sampling profiler would observe.
   const TxnId holder = holder_.load(std::memory_order_relaxed);
   const int64_t start = ProfileNowNs();
-  mu_.lock();
+  mu_.LockContended();
   site->RecordWait(ProfileNowNs() - start, holder);
 }
 #endif  // !ESR_TRACE_DISABLED

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/spin_mutex.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/trace.h"
@@ -286,13 +287,13 @@ class ScopedPhaseTimer {
 #endif
 };
 
-/// Drop-in std::mutex wrapper (BasicLockable, so std::lock_guard works)
+/// Drop-in SpinMutex wrapper (BasicLockable, so std::lock_guard works)
 /// that doubles as a ContentionSite: uncontended locks cost one relaxed
 /// load, a try_lock and a counter bump; contended locks read the
-/// holder's TxnId *before* blocking and charge the measured wait to it.
-/// The protected section publishes its identity with set_holder(txn)
-/// right after acquiring. With the profiler disabled (or compiled out)
-/// this is a plain mutex.
+/// holder's TxnId at the first failed try_lock and charge the measured
+/// wait — spin and park alike — to it. The protected section publishes
+/// its identity with set_holder(txn) right after acquiring. With the
+/// profiler disabled (or compiled out) this is a plain SpinMutex.
 class ProfiledMutex {
  public:
   /// `site_name` must be a string literal (kept by pointer; the site is
@@ -340,7 +341,7 @@ class ProfiledMutex {
   void LockProfiled();
 #endif
 
-  std::mutex mu_;
+  SpinMutex mu_;
   const char* site_name_;
   std::atomic<ContentionSite*> site_{nullptr};
   std::atomic<TxnId> holder_{kInvalidTxnId};

@@ -56,135 +56,12 @@ const char* SpanKindToString(SpanKind kind) {
   return "?";
 }
 
-TraceEvent TraceEvent::BeginTxn(TxnId txn, TxnType type, SiteId site) {
-  TraceEvent e;
-  e.type = TraceEventType::kBegin;
-  e.detail = static_cast<uint8_t>(type);
-  e.site = site;
-  e.txn = txn;
-  return e;
-}
-
-TraceEvent TraceEvent::Op(TraceEventType type, TxnId txn, SiteId site,
-                          ObjectId object) {
-  TraceEvent e;
-  e.type = type;
-  e.site = site;
-  e.txn = txn;
-  e.target = object;
-  return e;
-}
-
-TraceEvent TraceEvent::CommitTxn(TxnId txn, SiteId site) {
-  TraceEvent e;
-  e.type = TraceEventType::kCommit;
-  e.site = site;
-  e.txn = txn;
-  return e;
-}
-
-TraceEvent TraceEvent::AbortTxn(TxnId txn, SiteId site, uint8_t reason) {
-  TraceEvent e;
-  e.type = TraceEventType::kAbort;
-  e.detail = reason;
-  e.site = site;
-  e.txn = txn;
-  return e;
-}
-
-TraceEvent TraceEvent::BoundCheck(TxnId txn, SiteId site, uint16_t level,
-                                  uint64_t group, Inconsistency charged,
-                                  Inconsistency limit, bool admitted) {
-  TraceEvent e;
-  e.type = TraceEventType::kBoundCheck;
-  e.detail = admitted ? 1 : 0;
-  e.level = level;
-  e.site = site;
-  e.txn = txn;
-  e.target = group;
-  e.charged = charged;
-  e.limit = limit;
-  return e;
-}
-
-TraceEvent TraceEvent::ImportCharge(TxnId txn, SiteId site, ObjectId object,
-                                    Inconsistency d) {
-  TraceEvent e;
-  e.type = TraceEventType::kImportCharge;
-  e.site = site;
-  e.txn = txn;
-  e.target = object;
-  e.charged = d;
-  return e;
-}
-
-TraceEvent TraceEvent::WaitOn(TxnId txn, SiteId site, ObjectId object,
-                              TxnId writer) {
-  TraceEvent e;
-  e.type = TraceEventType::kWait;
-  e.site = site;
-  e.txn = txn;
-  e.target = object;
-  e.parent = writer;
-  return e;
-}
-
-TraceEvent TraceEvent::SpanBeginEvent(SpanKind kind, uint64_t span,
-                                      uint64_t parent, TxnId txn, SiteId site,
-                                      uint64_t target) {
-  TraceEvent e;
-  e.type = TraceEventType::kSpanBegin;
-  e.detail = static_cast<uint8_t>(kind);
-  e.site = site;
-  e.txn = txn;
-  e.target = target;
-  e.span = span;
-  e.parent = parent;
-  return e;
-}
-
-TraceEvent TraceEvent::SpanEndEvent(SpanKind kind, uint64_t span, TxnId txn,
-                                    SiteId site) {
-  TraceEvent e;
-  e.type = TraceEventType::kSpanEnd;
-  e.detail = static_cast<uint8_t>(kind);
-  e.site = site;
-  e.txn = txn;
-  e.span = span;
-  return e;
-}
-
-TraceEvent TraceEvent::Flow(TraceEventType type, uint64_t flow, TxnId txn,
-                            SiteId site) {
-  TraceEvent e;
-  e.type = type;
-  e.site = site;
-  e.txn = txn;
-  e.span = flow;
-  return e;
-}
-
-TraceEvent TraceEvent::Violation(TxnId txn, SiteId site, uint16_t level,
-                                 uint64_t group, double accumulated,
-                                 double limit, int direction) {
-  TraceEvent e;
-  e.type = TraceEventType::kViolation;
-  e.detail = static_cast<uint8_t>((direction & 1) << 1);
-  e.level = level;
-  e.site = site;
-  e.txn = txn;
-  e.target = group;
-  e.charged = accumulated;
-  e.limit = limit;
-  return e;
-}
-
 TraceRecorder::TraceRecorder(size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1),
       ring_storage_(new TraceEvent[capacity_]),
       ring_(ring_storage_.get()) {}
 
-TraceRecorder::TraceRecorder(std::atomic<uint8_t>* gate)
+TraceRecorder::TraceRecorder(std::atomic<TraceKindSet>* gate)
     : capacity_(kDefaultCapacity), gate_(gate) {}
 
 void TraceRecorder::set_enabled(bool enabled) {
@@ -199,12 +76,14 @@ void TraceRecorder::set_enabled(bool enabled) {
 
 void TraceRecorder::PublishGate() {
   if (gate_ == nullptr) return;
-  uint8_t bits = 0;
+  TraceKindSet bits = 0;
   if (enabled_.load(std::memory_order_relaxed)) {
-    bits |= internal::kTraceGateCapture;
+    bits |= internal::kTraceGateCapture | internal::kTraceGateKinds;
   }
   if (observer_fn_.load(std::memory_order_relaxed) != nullptr) {
-    bits |= internal::kTraceGateObserve;
+    bits |= internal::kTraceGateObserve |
+            (observer_kinds_.load(std::memory_order_relaxed) &
+             internal::kTraceGateKinds);
   }
   gate_->store(bits, std::memory_order_relaxed);
 }
@@ -445,7 +324,7 @@ Status TraceRecorder::ExportChromeTraceToFile(const std::string& path) const {
 }
 
 namespace internal {
-std::atomic<uint8_t> g_global_trace_gate{0};
+std::atomic<TraceKindSet> g_global_trace_gate{0};
 }  // namespace internal
 
 TraceRecorder& GlobalTrace() {

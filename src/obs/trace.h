@@ -159,6 +159,133 @@ inline TraceEvent WithSpan(TraceEvent event, uint64_t span) {
   return event;
 }
 
+// The factories are inline so a probe whose kind the gate does not want
+// (see ESR_TRACE_EVENT) folds to a load and a branch: the event's type is
+// a compile-time constant at every call site, and nothing is built.
+
+inline TraceEvent TraceEvent::BeginTxn(TxnId txn, TxnType type, SiteId site) {
+  TraceEvent e;
+  e.type = TraceEventType::kBegin;
+  e.detail = static_cast<uint8_t>(type);
+  e.site = site;
+  e.txn = txn;
+  return e;
+}
+
+inline TraceEvent TraceEvent::Op(TraceEventType type, TxnId txn, SiteId site,
+                                 ObjectId object) {
+  TraceEvent e;
+  e.type = type;
+  e.site = site;
+  e.txn = txn;
+  e.target = object;
+  return e;
+}
+
+inline TraceEvent TraceEvent::CommitTxn(TxnId txn, SiteId site) {
+  TraceEvent e;
+  e.type = TraceEventType::kCommit;
+  e.site = site;
+  e.txn = txn;
+  return e;
+}
+
+inline TraceEvent TraceEvent::AbortTxn(TxnId txn, SiteId site, uint8_t reason) {
+  TraceEvent e;
+  e.type = TraceEventType::kAbort;
+  e.detail = reason;
+  e.site = site;
+  e.txn = txn;
+  return e;
+}
+
+inline TraceEvent TraceEvent::BoundCheck(TxnId txn, SiteId site, uint16_t level,
+                                         uint64_t group, Inconsistency charged,
+                                         Inconsistency limit, bool admitted) {
+  TraceEvent e;
+  e.type = TraceEventType::kBoundCheck;
+  e.detail = admitted ? 1 : 0;
+  e.level = level;
+  e.site = site;
+  e.txn = txn;
+  e.target = group;
+  e.charged = charged;
+  e.limit = limit;
+  return e;
+}
+
+inline TraceEvent TraceEvent::ImportCharge(TxnId txn, SiteId site,
+                                           ObjectId object, Inconsistency d) {
+  TraceEvent e;
+  e.type = TraceEventType::kImportCharge;
+  e.site = site;
+  e.txn = txn;
+  e.target = object;
+  e.charged = d;
+  return e;
+}
+
+inline TraceEvent TraceEvent::WaitOn(TxnId txn, SiteId site, ObjectId object,
+                                     TxnId writer) {
+  TraceEvent e;
+  e.type = TraceEventType::kWait;
+  e.site = site;
+  e.txn = txn;
+  e.target = object;
+  e.parent = writer;
+  return e;
+}
+
+inline TraceEvent TraceEvent::SpanBeginEvent(SpanKind kind, uint64_t span,
+                                             uint64_t parent, TxnId txn,
+                                             SiteId site, uint64_t target) {
+  TraceEvent e;
+  e.type = TraceEventType::kSpanBegin;
+  e.detail = static_cast<uint8_t>(kind);
+  e.site = site;
+  e.txn = txn;
+  e.target = target;
+  e.span = span;
+  e.parent = parent;
+  return e;
+}
+
+inline TraceEvent TraceEvent::SpanEndEvent(SpanKind kind, uint64_t span,
+                                           TxnId txn, SiteId site) {
+  TraceEvent e;
+  e.type = TraceEventType::kSpanEnd;
+  e.detail = static_cast<uint8_t>(kind);
+  e.site = site;
+  e.txn = txn;
+  e.span = span;
+  return e;
+}
+
+inline TraceEvent TraceEvent::Flow(TraceEventType type, uint64_t flow,
+                                   TxnId txn, SiteId site) {
+  TraceEvent e;
+  e.type = type;
+  e.site = site;
+  e.txn = txn;
+  e.span = flow;
+  return e;
+}
+
+inline TraceEvent TraceEvent::Violation(TxnId txn, SiteId site, uint16_t level,
+                                        uint64_t group, double accumulated,
+                                        double limit, int direction) {
+  TraceEvent e;
+  e.type = TraceEventType::kViolation;
+  e.detail = static_cast<uint8_t>((direction & 1) << 1);
+  e.level = level;
+  e.site = site;
+  e.txn = txn;
+  e.target = group;
+  e.charged = accumulated;
+  e.limit = limit;
+  return e;
+}
+
 /// Bounded ring-buffer recorder of trace events.
 ///
 /// Recording is wait-free: a relaxed fetch_add claims a slot and the event
@@ -170,8 +297,9 @@ inline TraceEvent WithSpan(TraceEvent event, uint64_t span) {
 ///
 /// Runtime-off by default: `Record` is only called behind the
 /// `ESR_TRACE_EVENT` macro, which checks the global probe gate (one
-/// relaxed atomic load) first, so a disabled recorder costs a predictable
-/// branch. The gate opens for either of two consumers:
+/// relaxed atomic load) for the event's kind first, so a disabled
+/// recorder — or a kind no consumer wants — costs a predictable branch.
+/// The gate opens for either of two consumers:
 ///   - capture (`set_enabled(true)`): every event is stamped and stored in
 ///     the ring, and spans open;
 ///   - an observer (SetObserver): only the kinds it subscribed to are
@@ -264,7 +392,7 @@ class TraceRecorder {
 
   /// The global recorder: default capacity, no ring until capture first
   /// turns on, and the probe gate mirrored into `gate`.
-  explicit TraceRecorder(std::atomic<uint8_t>* gate);
+  explicit TraceRecorder(std::atomic<TraceKindSet>* gate);
 
   int64_t NowMicros() const;
   /// Stores the probe-gate bits for the current capture/observer state;
@@ -274,10 +402,10 @@ class TraceRecorder {
   const size_t capacity_;
   std::atomic<bool> enabled_{false};
   /// Set only on the GlobalTrace() recorder: the constant-initialized
-  /// gate word the inline probe fast path reads (capture and observer
-  /// bits), so a closed probe costs one relaxed load and a branch — no
-  /// call, no static-init guard.
-  std::atomic<uint8_t>* const gate_ = nullptr;
+  /// gate word the inline probe fast path reads (wanted kinds plus the
+  /// capture and observer bits), so a closed probe costs one relaxed
+  /// load and a branch — no call, no static-init guard.
+  std::atomic<TraceKindSet>* const gate_ = nullptr;
   /// Serializes set_enabled/SetObserver so the gate word always reflects
   /// the latest of both.
   std::mutex control_mu_;
@@ -323,36 +451,47 @@ uint32_t ThreadLaneId();
 TraceRecorder& GlobalTrace();
 
 namespace internal {
-/// Probe-gate bits of the global recorder (kept in sync by set_enabled
-/// and SetObserver): capture on, observer subscribed.
-inline constexpr uint8_t kTraceGateCapture = 1;
-inline constexpr uint8_t kTraceGateObserve = 2;
+/// The global recorder's probe-gate word (kept in sync by set_enabled
+/// and SetObserver): the union of the event kinds some consumer wants —
+/// every kind while capturing, the subscribed kinds for an observer —
+/// plus one bit each for capture on and observer subscribed.
+inline constexpr TraceKindSet kTraceGateKinds =
+    TraceKindBit(TraceEventType::kViolation) * 2 - 1;
+inline constexpr TraceKindSet kTraceGateObserve = TraceKindSet{1} << 30;
+inline constexpr TraceKindSet kTraceGateCapture = TraceKindSet{1} << 31;
+static_assert((kTraceGateKinds & kTraceGateObserve) == 0,
+              "event kinds overlap the gate's state bits");
 /// Constant-initialized so probes inlined into static initializers read
 /// a well-defined closed gate.
-extern std::atomic<uint8_t> g_global_trace_gate;
+extern std::atomic<TraceKindSet> g_global_trace_gate;
 }  // namespace internal
+
+/// The probe gate word; 0 under ESR_DISABLE_TRACING.
+inline TraceKindSet GlobalTraceGate() {
+#ifdef ESR_TRACE_DISABLED
+  return 0;
+#else
+  return internal::g_global_trace_gate.load(std::memory_order_relaxed);
+#endif
+}
 
 /// Probe-site fast path: is the process-wide probe gate open (capture on,
 /// or an observer subscribed)? One inline relaxed load — the engines call
 /// this on every operation, so it must not involve a function call or a
 /// local-static guard.
-inline bool GlobalTraceEnabled() {
-#ifdef ESR_TRACE_DISABLED
-  return false;
-#else
-  return internal::g_global_trace_gate.load(std::memory_order_relaxed) != 0;
-#endif
+inline bool GlobalTraceEnabled() { return GlobalTraceGate() != 0; }
+
+/// Does some consumer of the global recorder want events of `type`?
+/// Capture wants every kind; an observer alone wants the kinds it
+/// subscribed to.
+inline bool GlobalTraceWants(TraceEventType type) {
+  return (GlobalTraceGate() & TraceKindBit(type)) != 0;
 }
 
 /// Is the process-wide recorder capturing? Spans open only then: an
 /// observer alone never reads them.
 inline bool GlobalTraceCapturing() {
-#ifdef ESR_TRACE_DISABLED
-  return false;
-#else
-  return (internal::g_global_trace_gate.load(std::memory_order_relaxed) &
-          internal::kTraceGateCapture) != 0;
-#endif
+  return (GlobalTraceGate() & internal::kTraceGateCapture) != 0;
 }
 
 // -- Thread-local span context --------------------------------------------
@@ -485,19 +624,26 @@ class ScopedTraceTimeSource {
 
 }  // namespace esr
 
-/// Probe macro: evaluates `event_expr` and records it iff the global
-/// probe gate is open. Compiles away entirely (including `event_expr`)
-/// when the build defines ESR_TRACE_DISABLED (CMake -DESR_DISABLE_TRACING).
+/// Probe macro: evaluates `event_expr` only when the global probe gate
+/// is open, and records it only when the gate wants the event's kind, so
+/// a kind no consumer reads costs one load and never calls Record.
+/// Compiles away entirely (including `event_expr`) when the build defines
+/// ESR_TRACE_DISABLED (CMake -DESR_DISABLE_TRACING).
 #ifdef ESR_TRACE_DISABLED
 #define ESR_TRACE_EVENT(event_expr) \
   do {                              \
   } while (0)
 #else
-#define ESR_TRACE_EVENT(event_expr)                 \
-  do {                                              \
-    if (::esr::GlobalTraceEnabled()) {              \
-      ::esr::GlobalTrace().Record((event_expr));    \
-    }                                               \
+#define ESR_TRACE_EVENT(event_expr)                                       \
+  do {                                                                    \
+    const ::esr::TraceKindSet esr_trace_gate_ = ::esr::GlobalTraceGate(); \
+    if (esr_trace_gate_ != 0) {                                           \
+      const ::esr::TraceEvent esr_trace_event_ = (event_expr);            \
+      if ((esr_trace_gate_ & ::esr::TraceKindBit(esr_trace_event_.type)) \
+          != 0) {                                                         \
+        ::esr::GlobalTrace().Record(esr_trace_event_);                    \
+      }                                                                   \
+    }                                                                     \
   } while (0)
 #endif
 

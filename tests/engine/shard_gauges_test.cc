@@ -1,6 +1,6 @@
 // Regression test for torn gauge reads: the MetricsHttpServer /metrics
 // endpoint must render the per-shard `engine.shard<i>.*` gauges
-// consistently while the sharded engine is mid group commit. The fix
+// consistently while committers are mid commit on every worker. The fix
 // under test: ExportShardGauges snapshots each shard's six counters under
 // that shard's latch in one hold (never field by field), so every scrape
 // observes a state satisfying the monotone chain
@@ -116,7 +116,7 @@ TEST(ShardGaugesTest, ConcurrentScrapesSeeConsistentShardCounters) {
   ASSERT_TRUE(http.Start(/*port=*/0).ok());
   ASSERT_NE(http.port(), 0);
 
-  // Background load keeping group commit hot while the scrapers run.
+  // Background load keeping the commit path hot while the scrapers run.
   std::atomic<bool> load_done{false};
   std::thread load([&server, &load_done] {
     WorkloadSpec spec;

@@ -1,6 +1,6 @@
 // The sharded engine's hot paths must feed the wall-clock profiler:
-// shard latches are ContentionSites, the group-commit batched apply is
-// a kApply scope nested under the leader's kCommit, abort teardown
+// shard latches are ContentionSites, a commit's write install is a
+// kApply scope nested under its kCommit, abort teardown
 // books as kCommit, and the session pool's retry backoff charges
 // kLockWait against the shared session.wait_backoff site. A profiled
 // sharded run therefore produces a non-empty phase attribution — the
@@ -48,8 +48,8 @@ TEST(ShardedProfileTest, SessionRunPopulatesPhasesAndSites) {
   GlobalProfiler().set_enabled(false);
   const ProfileSnapshot snap = GlobalProfiler().Snapshot();
 
-  // Commit and batched-apply scopes ran; every commit passes through
-  // ProcessCommitBatch exactly once as part of some leader's drain.
+  // Commit and apply scopes ran: every commit installs its own writes
+  // under a kApply scope.
   const PhaseSnapshot& commit =
       snap.phases[static_cast<size_t>(ProfilePhase::kCommit)];
   const PhaseSnapshot& apply =

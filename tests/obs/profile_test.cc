@@ -257,6 +257,46 @@ TEST(ProfiledMutexTest, ContendedLockBlamesThePublishedHolder) {
   EXPECT_EQ(site->blockers[0].txn, 42u);
 }
 
+TEST(ProfiledMutexTest, WaitTheSpinAbsorbsStillBlamesTheHolder) {
+  ScopedGlobalProfiler guard;
+  ProfiledMutex mu("test.profiled_mu_spin");
+  ContentionSite* site = GlobalProfiler().site("test.profiled_mu_spin");
+  // The holder lets go half a microsecond after it sees the waiter's
+  // acquisition attempt counted: inside the waiter's spin window, long
+  // before it would park. An attempt can still miss — the scheduler may
+  // run the release before the waiter's first try_lock (no contention),
+  // or between unlock()'s holder reset and the lock release (no one to
+  // blame) — so try until one attempt was contended and blamed.
+  for (int attempt = 0;
+       attempt < 100 && site->TakeSnapshot().blockers.empty(); ++attempt) {
+    std::atomic<bool> held{false};
+    std::thread holder([&] {
+      mu.lock();
+      mu.set_holder(42);
+      const uint64_t attempts = site->TakeSnapshot().acquisitions;
+      held.store(true, std::memory_order_release);
+      while (site->TakeSnapshot().acquisitions == attempts) {
+      }
+      const int64_t until = ProfileNowNs() + 500;
+      while (ProfileNowNs() < until) {
+      }
+      mu.unlock();
+    });
+    while (!held.load(std::memory_order_acquire)) {
+    }
+    {
+      std::lock_guard<ProfiledMutex> lock(mu);
+    }
+    holder.join();
+  }
+
+  const ContentionSite::Snapshot snap = site->TakeSnapshot();
+  EXPECT_GE(snap.contended, 1u);
+  EXPECT_GT(snap.total_wait_ns, 0u);
+  ASSERT_FALSE(snap.blockers.empty()) << "no attempt collided with txn 42";
+  EXPECT_EQ(snap.blockers[0].txn, 42u);
+}
+
 TEST(ProfilerTest, SnapshotKeepsThreadLanesDistinct) {
   ScopedGlobalProfiler guard;
   constexpr int kThreads = 3;

@@ -483,6 +483,12 @@ StreamCertification ObserveOnlyThroughGlobalTrace(
                                  StreamCertifier::kObservedKinds);
     EXPECT_TRUE(GlobalTraceEnabled());
     EXPECT_FALSE(GlobalTraceCapturing());
+    // The gate wants exactly the subscribed kinds, so the Read/Write
+    // and span noise below never reaches Record.
+    EXPECT_TRUE(GlobalTraceWants(TraceEventType::kBoundCheck));
+    EXPECT_TRUE(GlobalTraceWants(TraceEventType::kCommit));
+    EXPECT_FALSE(GlobalTraceWants(TraceEventType::kRead));
+    EXPECT_FALSE(GlobalTraceWants(TraceEventType::kSpanBegin));
     for (const TraceEvent& e : history) {
       now = e.ts_micros;
       // Spans do not open without capture.
