@@ -39,10 +39,10 @@ struct BoundViolation {
 /// node whose replayed accumulation exceeds the limit the event itself
 /// declared.
 ///
-/// This is the single recertification core shared by the offline auditor
-/// (AuditTrace) and the streaming certifier (StreamCertifier): both feed
-/// their event streams through OnEvent, so their verdicts are identical by
-/// construction. Accumulators are keyed per (transaction, direction), so
+/// This is the recertification core of the streaming certifier
+/// (StreamCertifier), which certifies live runs and, through
+/// CertifySchedule, captured traces (AuditTrace, `esr audit`).
+/// Accumulators are keyed per (transaction, direction), so
 /// the violation set is invariant under any reordering that preserves each
 /// transaction's own event order — the property the schedule-perturbation
 /// hunter relies on.

@@ -1,16 +1,19 @@
 #include "obs/audit.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <cstdio>
 #include <unordered_map>
 
+#include "hierarchy/accumulator.h"
 #include "obs/exporter.h"
-#include "obs/stream_audit.h"
 
 namespace esr {
 
 namespace {
+
+/// Certification window of an audit, matching the live certifier's
+/// default (and the series sampler's) so watermarks line up.
+constexpr double kAuditWindowS = 1.0;
 
 struct SpanInfo {
   SpanKind kind = SpanKind::kOp;
@@ -45,7 +48,6 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
   // ---- Pass 1: span index and transaction lifecycle ----------------------
   std::unordered_map<uint64_t, SpanInfo> spans;
   std::unordered_map<TxnId, TxnInfo> txns;
-  int64_t last_ts = 0;
 
   auto touch_txn = [&txns](const TraceEvent& e) -> TxnInfo& {
     TxnInfo& t = txns[e.txn];
@@ -54,7 +56,6 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
   };
 
   for (const TraceEvent& e : events) {
-    last_ts = std::max(last_ts, e.ts_micros);
     switch (e.type) {
       case TraceEventType::kSpanBegin: {
         SpanInfo& s = spans[e.span];
@@ -103,23 +104,9 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
     if (t.outcome == 2) ++report.txns_aborted;
   }
 
-  // ---- Pass 2: hierarchical bound recertification ------------------------
-  // The Sec. 5.3.1 replay itself lives in BoundWalkReplayer (shared with
-  // the streaming certifier, which consumes the same events live); the
-  // offline pass feeds the whole capture through it and then resolves each
-  // violation's end timestamp from the transaction table built in pass 1.
-  BoundWalkReplayer replayer;
-  for (const TraceEvent& e : events) replayer.OnEvent(e);
-  report.walks_replayed = replayer.walks_replayed();
-  report.charges_applied = replayer.charges_applied();
-  report.violations = std::move(*replayer.mutable_violations());
-
-  for (BoundViolation& v : report.violations) {
-    const auto it = txns.find(v.txn);
-    v.ts_end = (it != txns.end() && it->second.end_ts >= 0)
-                   ? it->second.end_ts
-                   : last_ts;
-  }
+  // ---- Pass 2: hierarchical bound certification --------------------------
+  report.certification =
+      CertifySchedule(events, kAuditWindowS, metadata.dropped);
 
   // ---- Pass 3: conflict chains -------------------------------------------
   std::unordered_map<TxnId, int64_t> conflict_wait_by_txn;
@@ -263,16 +250,17 @@ void PrintAuditReport(const AuditReport& report, std::ostream& out,
   out << "transactions: " << report.txns_seen << " seen, "
       << report.txns_committed << " committed, " << report.txns_aborted
       << " aborted\n";
-  out << "bound walks replayed: " << report.walks_replayed << " ("
-      << report.charges_applied << " node charges)\n";
+  const StreamCertification& cert = report.certification;
+  out << "bound walks replayed: " << cert.walks_replayed << " ("
+      << cert.charges_applied << " node charges)\n";
 
   if (report.certified()) {
     out << "bound certification: PASS — every admitted charge within its "
            "declared hierarchical bounds\n";
   } else {
-    out << "bound certification: FAIL — " << report.violations.size()
+    out << "bound certification: FAIL — " << cert.violations.size()
         << " node(s) exceeded their declared bound\n";
-    for (const BoundViolation& v : report.violations) {
+    for (const BoundViolation& v : cert.violations) {
       out << "  VIOLATION txn " << v.txn << " "
           << ChargeDirectionToString(v.direction) << " group " << v.group
           << " (level " << v.level << "): accumulated " << v.accumulated
@@ -315,30 +303,19 @@ void PrintAuditReport(const AuditReport& report, std::ostream& out,
           << "\n";
     }
   }
-}
 
-bool StreamMatchesOffline(const AuditReport& report,
-                          const StreamCertification& stream) {
-  if (stream.walks_replayed != report.walks_replayed ||
-      stream.charges_applied != report.charges_applied ||
-      stream.violations.size() != report.violations.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < report.violations.size(); ++i) {
-    const BoundViolation& a = report.violations[i];
-    const BoundViolation& b = stream.violations[i];
-    if (a.txn != b.txn || a.direction != b.direction ||
-        a.group != b.group || a.level != b.level ||
-        a.ts_begin != b.ts_begin || a.ts_end != b.ts_end ||
-        a.accumulated != b.accumulated || a.limit != b.limit) {
-      return false;
-    }
-  }
-  return true;
+  char watermark[160];
+  std::snprintf(watermark, sizeof(watermark),
+                "certification watermark: certified through %.1fs over %zu "
+                "window(s), %zu violation(s)\n",
+                cert.certified_through_s, cert.windows_closed,
+                cert.violations.size());
+  out << watermark;
 }
 
 void WriteAuditJson(const AuditReport& report, std::ostream& out,
-                    size_t top_n, const StreamCertification* stream) {
+                    size_t top_n) {
+  const StreamCertification& cert = report.certification;
   JsonWriter w(out);
   w.BeginObject();
   w.KV("certified", report.certified());
@@ -355,12 +332,17 @@ void WriteAuditJson(const AuditReport& report, std::ostream& out,
   w.KV("committed", static_cast<uint64_t>(report.txns_committed));
   w.KV("aborted", static_cast<uint64_t>(report.txns_aborted));
   w.EndObject();
-  w.KV("walks_replayed", static_cast<uint64_t>(report.walks_replayed));
-  w.KV("charges_applied", static_cast<uint64_t>(report.charges_applied));
+  w.KV("walks_replayed", static_cast<uint64_t>(cert.walks_replayed));
+  w.KV("charges_applied", static_cast<uint64_t>(cert.charges_applied));
+  w.KV("certified_through_s", cert.certified_through_s);
+  w.KV("certified_from_s", cert.certified_from_s);
+  w.KV("observed_through_s", cert.observed_through_s);
+  w.KV("windows_closed", static_cast<uint64_t>(cert.windows_closed));
+  w.KV("lag_windows", cert.lag_windows);
 
   w.Key("violations");
   w.BeginArray();
-  for (const BoundViolation& v : report.violations) {
+  for (const BoundViolation& v : cert.violations) {
     w.BeginObject();
     w.KV("txn", v.txn);
     w.KV("direction", ChargeDirectionToString(v.direction));
@@ -416,21 +398,6 @@ void WriteAuditJson(const AuditReport& report, std::ostream& out,
     w.EndObject();
   }
   w.EndArray();
-
-  if (stream != nullptr) {
-    w.Key("stream");
-    w.BeginObject();
-    w.KV("enabled", stream->enabled);
-    w.KV("certified", stream->certified());
-    w.KV("certified_through_s", stream->certified_through_s);
-    w.KV("certified_from_s", stream->certified_from_s);
-    w.KV("observed_through_s", stream->observed_through_s);
-    w.KV("windows_closed", static_cast<uint64_t>(stream->windows_closed));
-    w.KV("lag_windows", stream->lag_windows);
-    w.KV("violations", static_cast<uint64_t>(stream->violations.size()));
-    w.KV("matches_offline", StreamMatchesOffline(report, *stream));
-    w.EndObject();
-  }
 
   w.EndObject();
   out << "\n";

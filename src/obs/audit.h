@@ -6,19 +6,11 @@
 #include <vector>
 
 #include "common/types.h"
-#include "hierarchy/accumulator.h"
-#include "hierarchy/bound_replay.h"
+#include "obs/stream_audit.h"
 #include "obs/trace.h"
 #include "obs/trace_reader.h"
 
 namespace esr {
-
-struct StreamCertification;
-
-// BoundViolation — the shared recertification-failure record — lives in
-// hierarchy/bound_replay.h alongside the replay core; the streaming
-// certifier (obs/stream_audit.h) reports the same type so the two
-// checkers' outputs can be diffed field for field.
 
 /// One wait edge of the conflict graph: `waiter` blocked on `object`
 /// because `writer` held an uncommitted write.
@@ -64,11 +56,10 @@ struct AuditReport {
   size_t txns_seen = 0;
   size_t txns_committed = 0;
   size_t txns_aborted = 0;
-  /// Bound-check walks replayed / individual node charges applied.
-  size_t walks_replayed = 0;
-  size_t charges_applied = 0;
+  /// The bounds verdict: CertifySchedule over the events, with its walk
+  /// and charge counts, violations and watermark.
+  StreamCertification certification;
 
-  std::vector<BoundViolation> violations;
   std::vector<ConflictEdge> conflicts;
   /// Sorted by total induced wait, descending.
   std::vector<BlockerSummary> blockers;
@@ -83,14 +74,15 @@ struct AuditReport {
   double avg_other = 0.0;
 
   /// Every admitted charge stayed within its declared bounds.
-  bool certified() const { return violations.empty(); }
+  bool certified() const { return certification.certified(); }
 };
 
-/// Replays a captured trace: recertifies every hierarchical bound from the
-/// BoundCheck stream (Sec. 5.3.1's invariant, checked offline), rebuilds
-/// the conflict graph from Wait events, and decomposes commit latency from
-/// the causal spans. Events must be in record order (as Snapshot and
-/// ReadChromeTrace return them).
+/// Replays a captured trace: certifies every hierarchical bound from the
+/// BoundCheck stream through CertifySchedule (Sec. 5.3.1's invariant, in
+/// 1 s windows, vouching only after a lost prefix when
+/// `metadata.dropped > 0`), rebuilds the conflict graph from Wait events,
+/// and decomposes commit latency from the causal spans. Events must be in
+/// record order (as Snapshot and ReadChromeTrace return them).
 AuditReport AuditTrace(const std::vector<TraceEvent>& events,
                        const TraceMetadata& metadata = TraceMetadata{});
 
@@ -99,20 +91,9 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
 void PrintAuditReport(const AuditReport& report, std::ostream& out,
                       size_t top_n = 10);
 
-/// Machine-readable report (one JSON object). When `stream` is given, a
-/// "stream" sub-object carries the streaming certifier's verdict over the
-/// same events (`esr audit` runs both and diffs them).
+/// Machine-readable report (one JSON object).
 void WriteAuditJson(const AuditReport& report, std::ostream& out,
-                    size_t top_n = 10,
-                    const StreamCertification* stream = nullptr);
-
-/// True when the streaming certifier's verdict agrees with the offline
-/// replay field for field: same walk and charge counts, and the same
-/// violations (txn, direction, group, level, interval, accumulated,
-/// limit). Any disagreement is a certifier bug, not a property of the
-/// trace — the two share BoundWalkReplayer.
-bool StreamMatchesOffline(const AuditReport& report,
-                          const StreamCertification& stream);
+                    size_t top_n = 10);
 
 }  // namespace esr
 

@@ -9,6 +9,18 @@
 
 namespace esr {
 
+namespace {
+
+/// a + b, clamped to the int64_t range instead of overflowing.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  int64_t sum = 0;
+  if (!__builtin_add_overflow(a, b, &sum)) return sum;
+  return b > 0 ? std::numeric_limits<int64_t>::max()
+               : std::numeric_limits<int64_t>::min();
+}
+
+}  // namespace
+
 StreamCertifier::StreamCertifier(StreamCertifierOptions options)
     : options_(std::move(options)),
       window_micros_(std::max<int64_t>(
@@ -44,8 +56,7 @@ void StreamCertifier::Observe(const TraceEvent& event) {
   }
   if (event.type == TraceEventType::kCommit ||
       event.type == TraceEventType::kAbort) {
-    // Resolve the violation interval's end for this transaction, exactly
-    // as the offline auditor does from its transaction table.
+    // The violation interval of this transaction ends here.
     for (BoundViolation& v : *replayer_.mutable_violations()) {
       if (v.txn == event.txn) v.ts_end = event.ts_micros;
     }
@@ -124,9 +135,11 @@ void StreamCertifier::NoteLostPrefix(uint64_t lost_events,
   // event sits exactly on it).
   int64_t from = options_.epoch_micros;
   if (first_retained_ts > options_.epoch_micros) {
-    const int64_t offset = first_retained_ts - options_.epoch_micros;
-    from = options_.epoch_micros +
-           ((offset + window_micros_ - 1) / window_micros_) * window_micros_;
+    // Round up to the next boundary; one near INT64_MAX saturates there.
+    const int64_t boundary = ClosedBoundary(first_retained_ts);
+    from = boundary == first_retained_ts
+               ? boundary
+               : SaturatingAdd(boundary, window_micros_);
   }
   certified_from_ = std::max(certified_from_, from);
 }
@@ -178,8 +191,8 @@ StreamCertification StreamCertifier::Snapshot() const {
 
   snap.violations = replayer_.violations();
   for (BoundViolation& v : snap.violations) {
-    // Transaction end not captured: close the interval at the last event,
-    // mirroring AuditTrace.
+    // Transaction end not captured: close the interval at the last
+    // observed event.
     if (v.ts_end == 0) v.ts_end = last_event_ts_;
   }
   snap.blamed_writers = blamed_writers_;
@@ -197,6 +210,22 @@ StreamCertification StreamCertifier::Snapshot() const {
     snap.nodes.push_back(node);
   }
   return snap;
+}
+
+StreamCertification CertifySchedule(const std::vector<TraceEvent>& schedule,
+                                    double window_s,
+                                    uint64_t lost_prefix_events,
+                                    int64_t through_micros) {
+  StreamCertifierOptions options;
+  options.window_s = window_s;
+  options.log_violations = false;
+  StreamCertifier certifier(options);
+  if (!schedule.empty()) {
+    certifier.NoteLostPrefix(lost_prefix_events, schedule.front().ts_micros);
+  }
+  for (const TraceEvent& e : schedule) certifier.Observe(e);
+  certifier.AdvanceTo(through_micros);
+  return certifier.Snapshot();
 }
 
 // -- Schedule perturbation ------------------------------------------------
@@ -219,6 +248,7 @@ std::vector<TraceEvent> PerturbSchedule(const std::vector<TraceEvent>& events,
   out.reserve(events.size());
   std::vector<size_t> eligible;
   int64_t prev_ts = std::numeric_limits<int64_t>::min();
+  // Saturating adds: a capture may hold timestamps near INT64_MAX.
   for (size_t remaining = events.size(); remaining > 0; --remaining) {
     int64_t min_head = std::numeric_limits<int64_t>::max();
     for (size_t l = 0; l < lanes.size(); ++l) {
@@ -231,7 +261,7 @@ std::vector<TraceEvent> PerturbSchedule(const std::vector<TraceEvent>& events,
     for (size_t l = 0; l < lanes.size(); ++l) {
       if (cursor[l] < lanes[l].size() &&
           events[lanes[l][cursor[l]]].ts_micros <=
-              min_head + options.horizon_micros) {
+              SaturatingAdd(min_head, options.horizon_micros)) {
         eligible.push_back(l);
       }
     }
@@ -240,7 +270,7 @@ std::vector<TraceEvent> PerturbSchedule(const std::vector<TraceEvent>& events,
     TraceEvent e = events[lanes[lane][cursor[lane]++]];
     int64_t ts = e.ts_micros;
     if (options.jitter_micros > 0) {
-      ts += rng.UniformInt(0, options.jitter_micros);
+      ts = SaturatingAdd(ts, rng.UniformInt(0, options.jitter_micros));
     }
     ts = std::max(ts, prev_ts);
     prev_ts = ts;
@@ -249,20 +279,6 @@ std::vector<TraceEvent> PerturbSchedule(const std::vector<TraceEvent>& events,
   }
   return out;
 }
-
-namespace {
-
-StreamCertification CertifySchedule(const std::vector<TraceEvent>& schedule,
-                                    double window_s) {
-  StreamCertifierOptions options;
-  options.window_s = window_s;
-  options.log_violations = false;
-  StreamCertifier certifier(options);
-  for (const TraceEvent& e : schedule) certifier.Observe(e);
-  return certifier.Snapshot();
-}
-
-}  // namespace
 
 std::vector<TraceEvent> MinimizeViolatingSchedule(
     const std::vector<TraceEvent>& schedule, double window_s) {

@@ -45,9 +45,9 @@ struct NodeCertification {
   double certified_through_s = 0.0;
 };
 
-/// Snapshot of a certification session — the streaming counterpart of
-/// AuditReport's bound-recertification section, sharing BoundViolation so
-/// the two can be diffed field by field.
+/// Snapshot of a certification session: the bounds verdict of a live run
+/// (Cluster::Run --certify, threaded_server --certify) and of a captured
+/// schedule (CertifySchedule, which `esr audit` reports).
 struct StreamCertification {
   /// False when certification never ran (flag off, or tracing compiled
   /// out so there was no event stream to observe).
@@ -127,9 +127,8 @@ class StreamCertifier {
   bool certified() const;
 
   /// Full snapshot; violations without a captured transaction end get
-  /// ts_end = last observed event timestamp, mirroring the offline
-  /// auditor over the same events (a live subscription observes only
-  /// kObservedKinds, so that is the last of those).
+  /// ts_end = last observed event timestamp (a live subscription observes
+  /// only kObservedKinds, so that is the last of those).
   StreamCertification Snapshot() const;
 
  private:
@@ -164,6 +163,18 @@ class StreamCertifier {
   /// at transaction end.
   std::unordered_map<TxnId, std::vector<TxnId>> waits_;
 };
+
+/// Certifies a finished schedule (a capture read back from a file, a
+/// perturbed or minimized schedule) in one pass: every event through a
+/// fresh non-logging certifier with `window_s` windows, then its snapshot.
+/// `lost_prefix_events` is the record-time loss before the first event
+/// (the capture's `dropped` count; see NoteLostPrefix). `through_micros`,
+/// when later than the last event, closes windows up to it as a live
+/// run's end-of-run heartbeat does.
+StreamCertification CertifySchedule(const std::vector<TraceEvent>& schedule,
+                                    double window_s,
+                                    uint64_t lost_prefix_events = 0,
+                                    int64_t through_micros = 0);
 
 // -- Schedule perturbation (violation hunting) ----------------------------
 

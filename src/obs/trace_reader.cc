@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -35,15 +36,36 @@ bool NameToSpanKind(const std::string& name, SpanKind* out) {
   return true;
 }
 
-uint64_t U64Or(const JsonValue& obj, const std::string& key,
-               uint64_t fallback) {
-  const double d = obj.NumberOr(key, -1.0);
-  return d < 0 ? fallback : static_cast<uint64_t>(d);
+// Reads member `key` of `obj` into the integer *out when it is a number,
+// truncating a fraction; leaves *out as is when the member is absent or
+// not a number. A number outside T's range (casting it would be undefined)
+// sets *error, naming the field, unless an earlier field already did.
+// The exporter writes 64-bit fields in full, and a value near the type's
+// maximum reads back rounded up to 2^63 or 2^64: that one clamps.
+template <typename T>
+void ReadInt(const JsonValue& obj, const char* key, T* out,
+             std::string* error) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr || !v->is_number()) return;
+  const double d = v->number;
+  constexpr T kMin = std::numeric_limits<T>::min();
+  constexpr T kMax = std::numeric_limits<T>::max();
+  if (!(d >= static_cast<double>(kMin) && d <= static_cast<double>(kMax))) {
+    if (error->empty()) {
+      std::ostringstream message;
+      message << "trace field \"" << key << "\" = " << d
+              << " does not fit its " << sizeof(T) * 8 << "-bit type";
+      *error = message.str();
+    }
+    return;
+  }
+  *out = d >= static_cast<double>(kMax) ? kMax : static_cast<T>(d);
 }
 
 // One exported Chrome event object -> TraceEvent. Returns false to skip
-// (unknown name/phase, metadata rows) — skipping is not an error.
-bool DecodeEvent(const JsonValue& obj, TraceEvent* e) {
+// (unknown name/phase, metadata rows) — skipping is not an error; a
+// numeric field that does not fit its type is, reported through *error.
+bool DecodeEvent(const JsonValue& obj, TraceEvent* e, std::string* error) {
   const JsonValue* name = obj.Find("name");
   const JsonValue* ph = obj.Find("ph");
   if (name == nullptr || !name->is_string() || ph == nullptr ||
@@ -51,9 +73,9 @@ bool DecodeEvent(const JsonValue& obj, TraceEvent* e) {
     return false;
   }
   *e = TraceEvent{};
-  e->ts_micros = static_cast<int64_t>(obj.NumberOr("ts", 0.0));
-  e->site = static_cast<SiteId>(obj.NumberOr("pid", 0.0));
-  e->txn = static_cast<TxnId>(obj.NumberOr("tid", 0.0));
+  ReadInt(obj, "ts", &e->ts_micros, error);
+  ReadInt(obj, "pid", &e->site, error);
+  ReadInt(obj, "tid", &e->txn, error);
   const JsonValue* args = obj.Find("args");
 
   const std::string& phase = ph->string;
@@ -64,40 +86,40 @@ bool DecodeEvent(const JsonValue& obj, TraceEvent* e) {
     e->type = begin ? TraceEventType::kSpanBegin : TraceEventType::kSpanEnd;
     e->detail = static_cast<uint8_t>(kind);
     if (args != nullptr) {
-      e->span = U64Or(*args, "span", 0);
-      e->lane = static_cast<uint32_t>(U64Or(*args, "lane", 0));
+      ReadInt(*args, "span", &e->span, error);
+      ReadInt(*args, "lane", &e->lane, error);
       // thread_lanes-mode exports move the transaction id into args
       // (tid carries the lane there); prefer it when present.
-      e->txn = U64Or(*args, "txn", e->txn);
+      ReadInt(*args, "txn", &e->txn, error);
       if (begin) {
-        e->parent = U64Or(*args, "parent", 0);
-        e->target = U64Or(*args, "target", 0);
+        ReadInt(*args, "parent", &e->parent, error);
+        ReadInt(*args, "target", &e->target, error);
       }
     }
     // Async txn spans also carry the id at top level; prefer args' span
     // but fall back for traces trimmed by other tools.
-    if (e->span == 0) e->span = U64Or(obj, "id", 0);
+    if (e->span == 0) ReadInt(obj, "id", &e->span, error);
     return e->span != 0;
   }
   if (phase == "s" || phase == "f") {
     e->type = phase == "s" ? TraceEventType::kFlowBegin
                            : TraceEventType::kFlowEnd;
-    e->span = U64Or(obj, "id", 0);
+    ReadInt(obj, "id", &e->span, error);
     return true;
   }
   if (phase != "i" && phase != "I") return false;
 
   if (!NameToInstantType(name->string, &e->type)) return false;
   if (args != nullptr) {
-    e->target = U64Or(*args, "target", 0);
-    e->level = static_cast<uint16_t>(args->NumberOr("level", 0.0));
-    e->detail = static_cast<uint8_t>(args->NumberOr("detail", 0.0));
-    e->span = U64Or(*args, "span", 0);
-    e->lane = static_cast<uint32_t>(U64Or(*args, "lane", 0));
-    e->txn = U64Or(*args, "txn", e->txn);
+    ReadInt(*args, "target", &e->target, error);
+    ReadInt(*args, "level", &e->level, error);
+    ReadInt(*args, "detail", &e->detail, error);
+    ReadInt(*args, "span", &e->span, error);
+    ReadInt(*args, "lane", &e->lane, error);
+    ReadInt(*args, "txn", &e->txn, error);
     e->charged = args->NumberOr("charged", 0.0);
     if (e->type == TraceEventType::kWait) {
-      e->parent = U64Or(*args, "writer", 0);
+      ReadInt(*args, "writer", &e->parent, error);
     }
     if (e->type == TraceEventType::kBoundCheck ||
         e->type == TraceEventType::kViolation) {
@@ -112,11 +134,13 @@ bool DecodeEvent(const JsonValue& obj, TraceEvent* e) {
 // Recovers events from a capture file cut mid-write. The exporter emits
 // one event object per line (prefixed by two spaces, comma-separated), so
 // the contiguous prefix is recoverable by parsing line-wise and stopping
-// at the first unparsable event after at least one success. Returns the
-// number of events salvaged (0 = nothing recognizable; keep the original
-// parse error).
-size_t SalvageTruncatedTrace(const std::string& json,
-                             std::vector<TraceEvent>* out) {
+// at the first unparsable event after at least one success. An empty
+// `out` means nothing was recognizable (keep the original parse error);
+// `field_error` is set when a salvaged event has a field that does not
+// fit.
+void SalvageTruncatedTrace(const std::string& json,
+                           std::vector<TraceEvent>* out,
+                           std::string* field_error) {
   out->clear();
   size_t pos = 0;
   bool parsed_any = false;
@@ -147,9 +171,9 @@ size_t SalvageTruncatedTrace(const std::string& json,
     }
     parsed_any = true;
     TraceEvent e;
-    if (DecodeEvent(obj, &e)) out->push_back(e);
+    if (DecodeEvent(obj, &e, field_error)) out->push_back(e);
+    if (!field_error->empty()) return;
   }
-  return out->size();
 }
 
 }  // namespace
@@ -159,7 +183,10 @@ Status ReadChromeTrace(const std::string& json, std::vector<TraceEvent>* out,
   JsonValue root;
   std::string error;
   if (!ParseJson(json, &root, &error)) {
-    const size_t salvaged = SalvageTruncatedTrace(json, out);
+    std::string field_error;
+    SalvageTruncatedTrace(json, out, &field_error);
+    if (!field_error.empty()) return Status::InvalidArgument(field_error);
+    const size_t salvaged = out->size();
     if (salvaged == 0) {
       return Status::InvalidArgument("malformed trace JSON: " + error);
     }
@@ -182,9 +209,10 @@ Status ReadChromeTrace(const std::string& json, std::vector<TraceEvent>* out,
     if (metadata != nullptr) {
       *metadata = TraceMetadata{};
       if (const JsonValue* other = root.Find("otherData")) {
-        metadata->recorded = U64Or(*other, "recorded", 0);
-        metadata->dropped = U64Or(*other, "dropped", 0);
-        metadata->capacity = U64Or(*other, "capacity", 0);
+        ReadInt(*other, "recorded", &metadata->recorded, &error);
+        ReadInt(*other, "dropped", &metadata->dropped, &error);
+        ReadInt(*other, "capacity", &metadata->capacity, &error);
+        if (!error.empty()) return Status::InvalidArgument(error);
       }
     }
   }
@@ -197,7 +225,8 @@ Status ReadChromeTrace(const std::string& json, std::vector<TraceEvent>* out,
   for (const JsonValue& obj : events->array) {
     if (!obj.is_object()) continue;
     TraceEvent e;
-    if (DecodeEvent(obj, &e)) out->push_back(e);
+    if (DecodeEvent(obj, &e, &error)) out->push_back(e);
+    if (!error.empty()) return Status::InvalidArgument(error);
   }
   if (metadata != nullptr && metadata->dropped > 0) {
     ESR_LOG(kWarning) << "trace capture lost " << metadata->dropped

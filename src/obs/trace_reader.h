@@ -25,7 +25,9 @@ struct TraceMetadata {
 /// exporter; the auditor and its tests run on this). Accepts both the
 /// object form ({"traceEvents":[...]}) and a bare event array. Unknown
 /// event names and phases are skipped, not errors, so traces from newer
-/// writers still load.
+/// writers still load. A numeric field that does not fit its integer type
+/// (a "ts" of 1e300, a negative "tid", a "level" past 65535) is an
+/// InvalidArgument error naming the field.
 ///
 /// Lossy captures degrade instead of failing: a file cut mid-write is
 /// salvaged line by line up to the truncation point (the exporter writes

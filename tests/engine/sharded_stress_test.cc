@@ -6,10 +6,9 @@
 // never broke the paper's guarantees (a -DESR_DISABLE_TRACING=ON build has
 // no trace, and proves only the commit-log and completion checks):
 //
-//   * every hierarchical bound check replays clean (BoundWalkReplayer:
-//     zero admitted charges past a declared limit, Sec. 5.3.1);
-//   * the streaming certifier certifies the identical event stream
-//     through its windowed watermark (StreamCertifier);
+//   * the captured stream certifies (CertifySchedule, the certifier
+//     `esr audit` runs): zero admitted charges past a declared limit
+//     (Sec. 5.3.1), with a clean watermark through the run;
 //   * per shard, committed writes respect timestamp order per object
 //     (the TO invariant) and land on the owning shard;
 //   * the per-shard stats snapshots satisfy their monotone chain;
@@ -33,7 +32,6 @@
 
 #include "engine/sharded/session.h"
 #include "engine/sharded/sharded_engine.h"
-#include "hierarchy/bound_replay.h"
 #include "obs/stream_audit.h"
 #include "obs/trace.h"
 #include "txn/server.h"
@@ -174,38 +172,23 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
   ASSERT_EQ(dropped, 0u) << "trace ring wrapped; shrink the configuration";
   ASSERT_FALSE(events.empty());
 
-  // -- Offline recertification: no admitted charge ever crossed a bound. --
-  BoundWalkReplayer replayer;
-  for (const TraceEvent& event : events) replayer.OnEvent(event);
-  EXPECT_GT(replayer.walks_replayed(), 0u);
-  EXPECT_TRUE(replayer.violations().empty())
-      << replayer.violations().size() << " bound violations; first: group "
-      << replayer.violations()[0].group << " accumulated "
-      << replayer.violations()[0].accumulated << " > limit "
-      << replayer.violations()[0].limit;
-
-  // -- Streaming certification over the same stream reaches a clean
-  //    watermark past the last event. ------------------------------------
-  int64_t min_ts = events.front().ts_micros;
+  // -- Certification: no admitted charge ever crossed a bound, and the
+  //    watermark runs clean past the last event. -------------------------
   int64_t max_ts = events.front().ts_micros;
   for (const TraceEvent& event : events) {
-    min_ts = std::min(min_ts, event.ts_micros);
     max_ts = std::max(max_ts, event.ts_micros);
   }
-  StreamCertifierOptions cert_opt;
-  cert_opt.window_s = 0.05;
-  cert_opt.epoch_micros = min_ts;
-  cert_opt.source = cfg.name;
-  StreamCertifier certifier(cert_opt);
-  for (const TraceEvent& event : events) certifier.Observe(event);
-  certifier.AdvanceTo(max_ts + 100'000);
-  const StreamCertification cert = certifier.Snapshot();
-  EXPECT_TRUE(cert.certified()) << cert.violations.size() << " violations";
-  EXPECT_EQ(cert.walks_replayed, replayer.walks_replayed());
-  EXPECT_EQ(cert.charges_applied, replayer.charges_applied());
+  const StreamCertification cert =
+      CertifySchedule(events, /*window_s=*/0.05, /*lost_prefix_events=*/0,
+                      /*through_micros=*/max_ts + 100'000);
+  EXPECT_GT(cert.walks_replayed, 0u);
+  EXPECT_TRUE(cert.certified())
+      << cert.violations.size() << " bound violations; first: group "
+      << cert.violations[0].group << " accumulated "
+      << cert.violations[0].accumulated << " > limit "
+      << cert.violations[0].limit;
   EXPECT_GT(cert.certified_through_s, 0.0);
-  EXPECT_GE(cert.certified_through_s,
-            static_cast<double>(max_ts - min_ts) / 1e6);
+  EXPECT_GE(cert.certified_through_s, static_cast<double>(max_ts) / 1e6);
 #endif  // ESR_TRACE_DISABLED
 
   // -- Per-shard TO invariant: committed writes strictly increase in

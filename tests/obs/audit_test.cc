@@ -65,8 +65,8 @@ TEST(AuditBoundsTest, CleanHistoryCertifies) {
   EXPECT_TRUE(report.certified());
   EXPECT_EQ(report.txns_seen, 1u);
   EXPECT_EQ(report.txns_committed, 1u);
-  EXPECT_EQ(report.walks_replayed, 2u);
-  EXPECT_EQ(report.charges_applied, 4u);
+  EXPECT_EQ(report.certification.walks_replayed, 2u);
+  EXPECT_EQ(report.certification.charges_applied, 4u);
 }
 
 TEST(AuditBoundsTest, AdmittedOverBoundChargeIsFlaggedWithInterval) {
@@ -80,8 +80,8 @@ TEST(AuditBoundsTest, AdmittedOverBoundChargeIsFlaggedWithInterval) {
 
   const AuditReport report = AuditTrace(h.events());
   EXPECT_FALSE(report.certified());
-  ASSERT_EQ(report.violations.size(), 1u);
-  const BoundViolation& v = report.violations[0];
+  ASSERT_EQ(report.certification.violations.size(), 1u);
+  const BoundViolation& v = report.certification.violations[0];
   EXPECT_EQ(v.txn, 7u);
   EXPECT_EQ(v.direction, ChargeDirection::kImport);
   EXPECT_EQ(v.group, 5u);
@@ -98,9 +98,11 @@ TEST(AuditBoundsTest, NodeStayingOverBoundYieldsOneViolationWithPeak) {
   ImportWalk(&h, 10, 3, 5, 60.0, 50.0, 1000.0, true);  // first crossing
   ImportWalk(&h, 20, 3, 5, 25.0, 50.0, 1000.0, true);  // still climbing
   const AuditReport report = AuditTrace(h.events());
-  ASSERT_EQ(report.violations.size(), 1u);
-  EXPECT_EQ(report.violations[0].ts_begin, 10);
-  EXPECT_DOUBLE_EQ(report.violations[0].accumulated, 85.0);
+  const std::vector<BoundViolation>& violations =
+      report.certification.violations;
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].ts_begin, 10);
+  EXPECT_DOUBLE_EQ(violations[0].accumulated, 85.0);
 }
 
 TEST(AuditBoundsTest, RejectedWalkChargesNothing) {
@@ -113,8 +115,9 @@ TEST(AuditBoundsTest, RejectedWalkChargesNothing) {
 
   const AuditReport report = AuditTrace(h.events());
   EXPECT_TRUE(report.certified());
-  EXPECT_EQ(report.walks_replayed, 2u);
-  EXPECT_EQ(report.charges_applied, 2u);  // only the admitted walk
+  EXPECT_EQ(report.certification.walks_replayed, 2u);
+  // Only the admitted walk charged.
+  EXPECT_EQ(report.certification.charges_applied, 2u);
 }
 
 TEST(AuditBoundsTest, UnboundedNodesNeverViolate) {
@@ -139,9 +142,11 @@ TEST(AuditBoundsTest, ImportAndExportAccumulatorsReplayIndependently) {
   h.ExportCheckAt(30, 4, 1, 5, 15.0, 45.0, true);
   h.ExportCheckAt(31, 4, 0, 0, 15.0, 100.0, true);
   const AuditReport report = AuditTrace(h.events());
-  ASSERT_EQ(report.violations.size(), 1u);
-  EXPECT_EQ(report.violations[0].direction, ChargeDirection::kExport);
-  EXPECT_DOUBLE_EQ(report.violations[0].accumulated, 50.0);
+  const std::vector<BoundViolation>& violations =
+      report.certification.violations;
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].direction, ChargeDirection::kExport);
+  EXPECT_DOUBLE_EQ(violations[0].accumulated, 50.0);
 }
 
 TEST(AuditConflictTest, WaitEventsBuildEdgesAndRankBlockers) {
@@ -249,12 +254,15 @@ TEST(AuditRoundTripTest, ExportedTraceAuditsIdenticallyAfterReload) {
   EXPECT_EQ(metadata.dropped, 0u);
 
   const AuditReport replay = AuditTrace(reloaded, metadata);
-  ASSERT_EQ(replay.violations.size(), direct.violations.size());
-  ASSERT_EQ(replay.violations.size(), 1u);
-  EXPECT_EQ(replay.violations[0].group, direct.violations[0].group);
-  EXPECT_DOUBLE_EQ(replay.violations[0].accumulated,
-                   direct.violations[0].accumulated);
-  EXPECT_EQ(replay.violations[0].ts_begin, direct.violations[0].ts_begin);
+  const std::vector<BoundViolation>& replayed =
+      replay.certification.violations;
+  const std::vector<BoundViolation>& recorded =
+      direct.certification.violations;
+  ASSERT_EQ(replayed.size(), recorded.size());
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].group, recorded[0].group);
+  EXPECT_DOUBLE_EQ(replayed[0].accumulated, recorded[0].accumulated);
+  EXPECT_EQ(replayed[0].ts_begin, recorded[0].ts_begin);
   EXPECT_EQ(replay.conflicts.size(), 1u);
   EXPECT_EQ(replay.conflicts[0].writer, 3u);
 }

@@ -1,8 +1,8 @@
-// Streaming consistency certification: the online certifier against the
-// offline auditor on histories with known verdicts, watermark/lag
+// Streaming consistency certification, the one bounds verdict behind a
+// live run and `esr audit`: histories with known verdicts, watermark/lag
 // semantics, lossy-capture degradation, recorder observer delivery,
-// observe-only certification through the global recorder,
-// whole-cluster online==offline equivalence across seeds, and the
+// observe-only certification through the global recorder, a live run
+// against CertifySchedule over its capture across seeds, and the
 // schedule-perturbation violation hunt.
 
 #include "obs/stream_audit.h"
@@ -23,47 +23,14 @@
 #include "obs/trace.h"
 #include "obs/trace_reader.h"
 #include "sim/cluster.h"
+#include "testing/trace_history.h"
 
 namespace esr {
 namespace {
 
-// Event-stream builder with explicit timestamps (the certifier only looks
-// at what the events say, never at wall time).
-class History {
- public:
-  void At(int64_t ts, TraceEvent e) {
-    e.ts_micros = ts;
-    events_.push_back(e);
-  }
-  const std::vector<TraceEvent>& events() const { return events_; }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
-// One bottom-up import walk: group node (level 1), then the transaction
-// root (level 0), both admitted.
-void ImportWalk(History* h, int64_t ts, TxnId txn, SiteId site,
-                uint64_t group, double charge, double group_limit,
-                double til) {
-  h->At(ts, TraceEvent::BoundCheck(txn, site, /*level=*/1, group, charge,
-                                   group_limit, /*admitted=*/true));
-  h->At(ts + 1, TraceEvent::BoundCheck(txn, site, /*level=*/0, /*group=*/0,
-                                       charge, til, /*admitted=*/true));
-}
-
-// The `esr audit --demo-violation` history: a buggy engine admits 30 then
-// 40 against group 5 (limit 50), so the second walk leaves the node at 70
-// while the root check (limit 100) stays honest.
-std::vector<TraceEvent> DemoViolationHistory() {
-  History h;
-  h.At(1000, TraceEvent::BeginTxn(7, TxnType::kQuery, 1));
-  ImportWalk(&h, 1011, 7, 1, /*group=*/5, 30.0, /*group_limit=*/50.0,
-             /*til=*/100.0);
-  ImportWalk(&h, 1021, 7, 1, 5, 40.0, 50.0, 100.0);
-  h.At(1100, TraceEvent::CommitTxn(7, 1));
-  return h.events();
-}
+using testing::DemoViolationHistory;
+using testing::History;
+using testing::ImportWalk;
 
 // A clean two-site history: every admitted charge stays within bounds.
 std::vector<TraceEvent> CleanTwoSiteHistory() {
@@ -79,40 +46,43 @@ std::vector<TraceEvent> CleanTwoSiteHistory() {
   return h.events();
 }
 
-StreamCertification StreamOver(const std::vector<TraceEvent>& events,
-                               double window_s = 1.0) {
-  StreamCertifierOptions options;
-  options.window_s = window_s;
-  options.log_violations = false;
-  StreamCertifier certifier(options);
-  for (const TraceEvent& e : events) certifier.Observe(e);
-  return certifier.Snapshot();
-}
-
-TEST(StreamCertifierTest, DemoHistoryOnlineMatchesOffline) {
-  const std::vector<TraceEvent> events = DemoViolationHistory();
-  const AuditReport offline = AuditTrace(events);
-  ASSERT_EQ(offline.violations.size(), 1u);
-
-  StreamCertifierOptions options;
-  options.log_violations = false;
-  StreamCertifier certifier(options);
-  for (const TraceEvent& e : events) certifier.Observe(e);
-  const StreamCertification stream = certifier.Snapshot();
-
-  EXPECT_TRUE(stream.enabled);
-  EXPECT_FALSE(stream.certified());
-  EXPECT_TRUE(StreamMatchesOffline(offline, stream));
-  const BoundViolation& v = stream.violations.front();
+// The demo history's injected violation, as every path must report it:
+// txn 7 imports group 5 (level 1) to 70 > 50 from the second walk at 1021
+// until `ts_end`.
+void ExpectDemoViolation(const StreamCertification& cert, int64_t ts_end) {
+  EXPECT_TRUE(cert.enabled);
+  EXPECT_FALSE(cert.certified());
+  ASSERT_EQ(cert.violations.size(), 1u);
+  const BoundViolation& v = cert.violations.front();
   EXPECT_EQ(v.txn, 7u);
+  EXPECT_EQ(v.direction, ChargeDirection::kImport);
   EXPECT_EQ(v.group, 5u);
   EXPECT_EQ(v.level, 1u);
   EXPECT_EQ(v.ts_begin, 1021);
-  EXPECT_EQ(v.ts_end, 1100);  // resolved at the commit event, like offline
+  EXPECT_EQ(v.ts_end, ts_end);
   EXPECT_DOUBLE_EQ(v.accumulated, 70.0);
   EXPECT_DOUBLE_EQ(v.limit, 50.0);
-  ASSERT_EQ(stream.blamed_writers.size(), 1u);
-  EXPECT_TRUE(stream.blamed_writers.front().empty());  // no waits captured
+}
+
+TEST(StreamCertifierTest, DemoHistoryOnlineMatchesOffline) {
+  // Online: a certifier observing event by event. Offline: the audit of
+  // the finished history. Both catch the injected violation, its interval
+  // closed at the commit.
+  const std::vector<TraceEvent> events = DemoViolationHistory();
+  StreamCertifierOptions options;
+  options.log_violations = false;
+  StreamCertifier certifier(options);
+  for (const TraceEvent& e : events) certifier.Observe(e);
+  const StreamCertification online = certifier.Snapshot();
+  ExpectDemoViolation(online, /*ts_end=*/1100);
+  ASSERT_EQ(online.blamed_writers.size(), 1u);
+  EXPECT_TRUE(online.blamed_writers.front().empty());  // no waits captured
+
+  const AuditReport offline = AuditTrace(events);
+  ExpectDemoViolation(offline.certification, /*ts_end=*/1100);
+  EXPECT_FALSE(offline.certified());
+  EXPECT_EQ(offline.certification.walks_replayed, online.walks_replayed);
+  EXPECT_EQ(offline.certification.charges_applied, online.charges_applied);
 }
 
 TEST(StreamCertifierTest, WatermarkFreezesAtViolationWindow) {
@@ -306,12 +276,8 @@ TEST(LossyCaptureTest, OverflowedRingWarnsAndCertifiesRetainedSuffix) {
   }
   EXPECT_TRUE(warned);
 
-  StreamCertifierOptions options;
-  options.log_violations = false;
-  StreamCertifier certifier(options);
-  certifier.NoteLostPrefix(metadata.dropped, events.front().ts_micros);
-  for (const TraceEvent& e : events) certifier.Observe(e);
-  const StreamCertification snap = certifier.Snapshot();
+  const StreamCertification snap =
+      CertifySchedule(events, /*window_s=*/1.0, metadata.dropped);
   EXPECT_TRUE(snap.certified());
   EXPECT_GT(snap.certified_from_s, 0.0);
   EXPECT_GE(snap.certified_through_s, snap.certified_from_s);
@@ -354,7 +320,7 @@ TEST(LossyCaptureTest, TruncatedFileSalvagesContiguousPrefix) {
   }
   EXPECT_TRUE(warned);
   // The salvaged prefix still certifies (all charges were in bounds).
-  EXPECT_TRUE(StreamOver(events).certified());
+  EXPECT_TRUE(CertifySchedule(events, /*window_s=*/1.0).certified());
 }
 
 // -- Schedule perturbation -------------------------------------------------
@@ -431,7 +397,7 @@ TEST(PerturbHuntTest, DemoViolationCaughtUnderEveryPerturbation) {
   // violates when streamed on its own.
   ASSERT_FALSE(report.minimal_schedule.empty());
   EXPECT_LT(report.minimal_schedule.size(), DemoViolationHistory().size());
-  EXPECT_FALSE(StreamOver(report.minimal_schedule).certified());
+  EXPECT_FALSE(CertifySchedule(report.minimal_schedule, 1.0).certified());
 }
 
 TEST(MinimizeScheduleTest, CertifiedScheduleMinimizesToNothing) {
@@ -451,7 +417,7 @@ TEST(MinimizeScheduleTest, DemoMinimizesToBoundRelevantPrefix) {
         << TraceEventTypeToString(e.type);
     EXPECT_EQ(e.txn, 7u);
   }
-  EXPECT_FALSE(StreamOver(minimal).certified());
+  EXPECT_FALSE(CertifySchedule(minimal, 1.0).certified());
 }
 
 // -- Whole-cluster equivalence (needs tracing compiled in) -----------------
@@ -524,8 +490,9 @@ TEST(ObserveOnlyCertifyTest, CatchesDemoViolationThroughTheGlobalRecorder) {
   wait.ts_micros = 1005;
   unended.insert(unended.begin() + 1, wait);
 
-  for (const std::vector<TraceEvent>& history :
-       {DemoViolationHistory(), unended}) {
+  const std::vector<std::pair<std::vector<TraceEvent>, int64_t>> cases = {
+      {DemoViolationHistory(), /*ts_end=*/1100}, {unended, /*ts_end=*/1022}};
+  for (const auto& [history, ts_end] : cases) {
     StreamCertifierOptions options;
     options.log_violations = false;
     StreamCertifier direct_certifier(options);
@@ -534,13 +501,10 @@ TEST(ObserveOnlyCertifyTest, CatchesDemoViolationThroughTheGlobalRecorder) {
     const StreamCertification direct = direct_certifier.Snapshot();
     const StreamCertification live = ObserveOnlyThroughGlobalTrace(history);
 
-    // Both match the offline replay of the history violation for
-    // violation (node, interval, accumulation, limit), so they match
-    // each other.
-    const AuditReport offline = AuditTrace(history);
-    ASSERT_EQ(offline.violations.size(), 1u);
-    EXPECT_TRUE(StreamMatchesOffline(offline, direct));
-    EXPECT_TRUE(StreamMatchesOffline(offline, live));
+    // Both catch the injected violation (node, interval, accumulation,
+    // limit); the unended one closes at the last bound check.
+    ExpectDemoViolation(direct, ts_end);
+    ExpectDemoViolation(live, ts_end);
     EXPECT_DOUBLE_EQ(live.certified_through_s, 0.0);
     EXPECT_EQ(live.certified_through_s, direct.certified_through_s);
     EXPECT_EQ(live.blamed_writers, direct.blamed_writers);
@@ -551,13 +515,12 @@ TEST(ObserveOnlyCertifyTest, CatchesDemoViolationThroughTheGlobalRecorder) {
                 direct.nodes[i].certified_through_s);
     }
   }
-  // The unended run blamed the writer it waited on and closed the
-  // interval at its last bound check, as the offline auditor does.
+  // The unended run blamed the writer it waited on; the audit of the
+  // history closes the interval at the last bound check too.
   const StreamCertification live = ObserveOnlyThroughGlobalTrace(unended);
   ASSERT_EQ(live.blamed_writers.size(), 1u);
   EXPECT_EQ(live.blamed_writers.front(), std::vector<TxnId>{4});
-  EXPECT_EQ(live.violations.front().ts_end, 1022);
-  EXPECT_EQ(AuditTrace(unended).violations.front().ts_end, 1022);
+  ExpectDemoViolation(AuditTrace(unended).certification, /*ts_end=*/1022);
 }
 
 ClusterOptions CertifyOptions(uint64_t seed) {
@@ -571,38 +534,6 @@ ClusterOptions CertifyOptions(uint64_t seed) {
   opt.seed = seed;
   opt.certify = true;
   return opt;
-}
-
-TEST(ClusterCertifyTest, OnlineVerdictMatchesOfflineAcrossSeeds) {
-  for (const uint64_t seed : {1ull, 7ull, 23757ull}) {
-    // Certification alone captures nothing; turn capture on so the run
-    // leaves its whole event stream in the global ring.
-    GlobalTrace().Reset();
-    GlobalTrace().set_enabled(true);
-    const SimResult result = RunCluster(CertifyOptions(seed));
-    GlobalTrace().set_enabled(false);
-    ASSERT_TRUE(result.certification.enabled) << "seed " << seed;
-    EXPECT_TRUE(result.certification.certified()) << "seed " << seed;
-    EXPECT_GT(result.certification.walks_replayed, 0u) << "seed " << seed;
-
-    // The certifier saw exactly the captured events of its kinds; the
-    // offline auditor replays the full capture to the identical verdict.
-    ASSERT_EQ(GlobalTrace().dropped(), 0u) << "seed " << seed;
-    const std::vector<TraceEvent> events = GlobalTrace().Snapshot();
-    size_t certifier_kind_events = 0;
-    for (const TraceEvent& e : events) {
-      if ((StreamCertifier::kObservedKinds & TraceKindBit(e.type)) != 0) {
-        ++certifier_kind_events;
-      }
-    }
-    EXPECT_LT(certifier_kind_events, events.size()) << "seed " << seed;
-    EXPECT_EQ(result.certification.events_observed, certifier_kind_events)
-        << "seed " << seed;
-    const AuditReport offline = AuditTrace(events);
-    EXPECT_TRUE(StreamMatchesOffline(offline, result.certification))
-        << "seed " << seed;
-  }
-  GlobalTrace().Reset();
 }
 
 void ExpectSameCertification(const StreamCertification& a,
@@ -628,6 +559,54 @@ void ExpectSameCertification(const StreamCertification& a,
     EXPECT_EQ(a.nodes[i].violated, b.nodes[i].violated) << "node " << i;
     EXPECT_EQ(a.nodes[i].certified_through_s, b.nodes[i].certified_through_s)
         << "node " << i;
+  }
+}
+
+TEST(ClusterCertifyTest, OnlineVerdictMatchesOfflineAcrossSeeds) {
+  for (const uint64_t seed : {1ull, 7ull, 23757ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ClusterOptions options = CertifyOptions(seed);
+    GlobalTrace().set_enabled(false);
+    GlobalTrace().Reset();
+    const SimResult live = RunCluster(options);
+    ASSERT_TRUE(live.certification.enabled);
+    EXPECT_TRUE(live.certification.certified());
+    EXPECT_GT(live.certification.walks_replayed, 0u);
+
+    // The same run again with capture on leaves its whole event stream
+    // in the global ring.
+    GlobalTrace().set_enabled(true);
+    RunCluster(options);
+    GlobalTrace().set_enabled(false);
+    ASSERT_EQ(GlobalTrace().dropped(), 0u);
+    const std::vector<TraceEvent> events = GlobalTrace().Snapshot();
+    GlobalTrace().Reset();
+
+    // The live certifier subscribed to its kinds only and heartbeat to the
+    // run's end; certifying those events of the capture with the same
+    // heartbeat gives its certification field by field.
+    std::vector<TraceEvent> observed;
+    for (const TraceEvent& e : events) {
+      if ((StreamCertifier::kObservedKinds & TraceKindBit(e.type)) != 0) {
+        observed.push_back(e);
+      }
+    }
+    EXPECT_LT(observed.size(), events.size());
+    const int64_t run_end =
+        static_cast<int64_t>(options.warmup_s * kMicrosPerSecond) +
+        static_cast<int64_t>(options.measure_s * kMicrosPerSecond);
+    ExpectSameCertification(
+        live.certification,
+        CertifySchedule(observed, options.series_window_s,
+                        /*lost_prefix_events=*/0, run_end));
+
+    // `esr audit` over the full capture reaches the same verdict.
+    const AuditReport audit = AuditTrace(events);
+    EXPECT_TRUE(audit.certified());
+    EXPECT_EQ(audit.certification.walks_replayed,
+              live.certification.walks_replayed);
+    EXPECT_EQ(audit.certification.charges_applied,
+              live.certification.charges_applied);
   }
 }
 

@@ -20,9 +20,9 @@
 // engine (wrongly) admits charges past a group bound, demonstrating —
 // and letting CI assert — that a broken invariant is detected.
 //
-// Every audit also streams the same events through the online certifier
-// (obs/stream_audit.h) and diffs its verdict against the offline replay
-// field for field; any divergence is a certifier bug and exits 1.
+// The bounds verdict comes from the streaming certifier
+// (obs/stream_audit.h) fed from the file, the same code that certifies a
+// live run; the report ends with its watermark line.
 //
 // --perturb N hunts for schedule-sensitive violations: N seeded
 // commit-order/timing perturbations of the captured schedule — each
@@ -32,8 +32,7 @@
 // events) is reported. --seed S sets the base seed (default 1).
 //
 // Exit status: 0 when the trace (and every perturbed schedule) certifies,
-// 2 when any bound violation is found, 1 on usage or I/O errors, or on a
-// streaming/offline divergence.
+// 2 when any bound violation is found, 1 on usage or I/O errors.
 
 #include <cstdio>
 #include <fstream>
@@ -129,42 +128,13 @@ int Audit(const std::vector<std::string>& args) {
 
   const esr::AuditReport report = esr::AuditTrace(events, metadata);
   esr::PrintAuditReport(report, std::cout, top_n);
-
-  // Streaming cross-check: the same events through the online certifier.
-  // The two share BoundWalkReplayer, so any disagreement is a certifier
-  // bug — worth failing loudly over, not a property of the trace.
-  esr::StreamCertifierOptions stream_options;
-  stream_options.source = demo ? "demo-violation" : trace_path;
-  stream_options.log_violations = false;  // offline replay: report below
-  esr::StreamCertifier streamer(stream_options);
-  if (metadata.dropped > 0 && !events.empty()) {
-    streamer.NoteLostPrefix(metadata.dropped, events.front().ts_micros);
-  }
-  for (const esr::TraceEvent& e : events) streamer.Observe(e);
-  if (!events.empty()) streamer.AdvanceTo(events.back().ts_micros);
-  const esr::StreamCertification stream = streamer.Snapshot();
-  const bool stream_matches = esr::StreamMatchesOffline(report, stream);
-  if (stream_matches) {
-    std::printf(
-        "streaming recertification: verdict matches offline replay "
-        "(certified through %.1fs over %zu window(s), %zu violation(s))\n",
-        stream.certified_through_s, stream.windows_closed,
-        stream.violations.size());
-  } else {
-    std::printf(
-        "STREAM DIVERGENCE: online certifier disagrees with offline "
-        "replay (offline %zu violation(s) / %zu walks, stream %zu / %zu) "
-        "— certifier bug\n",
-        report.violations.size(), report.walks_replayed,
-        stream.violations.size(), stream.walks_replayed);
-  }
+  const double window_s = report.certification.window_s;
 
   // Perturbation hunt: recertify N seeded reorderings of the schedule.
   bool perturbed_violation = false;
   if (perturb_n > 0) {
     const esr::PerturbReport hunt =
-        esr::HuntPerturbations(events, perturb_n, base_seed,
-                               stream_options.window_s);
+        esr::HuntPerturbations(events, perturb_n, base_seed, window_s);
     std::printf(
         "perturbation hunt: %zu schedule(s), seeds %llu..%llu — "
         "certified: %zu, violating: %zu\n",
@@ -174,8 +144,7 @@ int Audit(const std::vector<std::string>& args) {
     perturbed_violation = hunt.violating > 0;
     std::vector<esr::TraceEvent> minimal;
     if (!report.certified()) {
-      minimal = esr::MinimizeViolatingSchedule(events,
-                                               stream_options.window_s);
+      minimal = esr::MinimizeViolatingSchedule(events, window_s);
     } else if (hunt.violating > 0) {
       std::printf(
           "  first violating seed %llu: %zu violation(s) on a certified "
@@ -198,7 +167,7 @@ int Audit(const std::vector<std::string>& args) {
       std::fprintf(stderr, "esr audit: cannot open %s\n", json_path.c_str());
       return 1;
     }
-    esr::WriteAuditJson(report, out, top_n, &stream);
+    esr::WriteAuditJson(report, out, top_n);
     if (!out.good()) {
       std::fprintf(stderr, "esr audit: failed writing %s\n",
                    json_path.c_str());
@@ -207,7 +176,6 @@ int Audit(const std::vector<std::string>& args) {
     std::fprintf(stderr, "wrote audit JSON to %s\n", json_path.c_str());
   }
 
-  if (!stream_matches) return 1;
   return (report.certified() && !perturbed_violation) ? 0 : 2;
 }
 
