@@ -132,19 +132,18 @@ int JobsFromArgs(int argc, char** argv) {
 }
 
 std::string SeriesPathFromArgs(int argc, char** argv) {
-  return FlagValue(argc, argv, "--series", "ESR_BENCH_SERIES");
+  return FlagValue(argc, argv, "--series", nullptr);
 }
 
 std::string HealthPathFromArgs(int argc, char** argv) {
-  return FlagValue(argc, argv, "--health", "ESR_BENCH_HEALTH");
+  return FlagValue(argc, argv, "--health", nullptr);
 }
 
 bool CertifyFromArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--certify") == 0) return true;
   }
-  const char* env = std::getenv("ESR_BENCH_CERTIFY");
-  return env != nullptr && std::strcmp(env, "0") != 0;
+  return false;
 }
 
 void ParallelFor(size_t count, int jobs,
@@ -449,7 +448,7 @@ std::string Table::NumCi(double v, double ci90_rel, int precision) {
 }
 
 std::string JsonReport::PathFromArgs(int argc, char** argv) {
-  return FlagValue(argc, argv, "--json", "ESR_BENCH_JSON");
+  return FlagValue(argc, argv, "--json", nullptr);
 }
 
 JsonReport::JsonReport(std::string figure, const RunScale& scale)
@@ -540,7 +539,7 @@ Status JsonReport::WriteToFile(const std::string& path) const {
 }
 
 std::string TraceCapture::PathFromArgs(int argc, char** argv) {
-  return FlagValue(argc, argv, "--trace", "ESR_BENCH_TRACE");
+  return FlagValue(argc, argv, "--trace", nullptr);
 }
 
 TraceCapture::TraceCapture(int argc, char** argv)

@@ -77,20 +77,18 @@ std::string FlagValue(int argc, char** argv, const char* flag,
 /// because the global trace recorder records one coherent run at a time.
 int JobsFromArgs(int argc, char** argv);
 
-/// Output path for per-window run telemetry: `--series <path>` wins over
-/// ESR_BENCH_SERIES; empty (export disabled) when neither is present.
+/// Output path for per-window run telemetry: `--series <path>`; empty
+/// (export disabled) when absent.
 /// Wire it into the executor with Sweep::set_series_export.
 std::string SeriesPathFromArgs(int argc, char** argv);
 
 /// Streaming-certification toggle: true when `--certify` appears anywhere
-/// in argv, or ESR_BENCH_CERTIFY is set to anything but "0". Wire it into
-/// the executor with Sweep::set_certify.
+/// in argv. Wire it into the executor with Sweep::set_certify.
 bool CertifyFromArgs(int argc, char** argv);
 
 /// Output path for the windowed anomaly-detection journal (obs/health.h):
-/// `--health <path>` wins over ESR_BENCH_HEALTH; empty (health analysis
-/// disabled) when neither is present. Wire it into the executor with
-/// Sweep::set_health.
+/// `--health <path>`; empty (health analysis disabled) when absent. Wire
+/// it into the executor with Sweep::set_health.
 std::string HealthPathFromArgs(int argc, char** argv);
 
 /// Runs tasks [0, count) across up to `jobs` worker threads pulling from
@@ -304,9 +302,8 @@ void PrintHeader(const std::string& figure, const std::string& paper_claim,
 /// reports the MSER-resolved warmup, not the preset.
 class JsonReport {
  public:
-  /// Resolves the output path: a `--json <path>` pair anywhere in argv
-  /// wins over the ESR_BENCH_JSON environment variable; empty string when
-  /// neither is present (callers then skip writing).
+  /// Resolves the output path: a `--json <path>` pair anywhere in argv;
+  /// empty string when absent (callers then skip writing).
   static std::string PathFromArgs(int argc, char** argv);
 
   JsonReport(std::string figure, const RunScale& scale);
@@ -333,9 +330,8 @@ class JsonReport {
 };
 
 /// RAII trace capture for figure binaries: when a `--trace <path>` pair
-/// appears in argv (or ESR_BENCH_TRACE is set), resets and enables the
-/// global trace recorder for the harness's whole run and exports Chrome
-/// trace JSON on destruction. Inert (zero-overhead beyond one enabled
+/// appears in argv, resets and enables the global trace recorder for the
+/// harness's whole run and exports Chrome trace JSON on destruction. Inert (zero-overhead beyond one enabled
 /// check per probe) when no path was given. Declare one at the top of
 /// main(), before JobsFromArgs and the sweep runs — an active capture
 /// forces the sweep serial so the export stays one coherent run:
@@ -343,8 +339,8 @@ class JsonReport {
 ///   esr::bench::TraceCapture trace(argc, argv);
 class TraceCapture {
  public:
-  /// `--trace <path>` anywhere in argv wins over ESR_BENCH_TRACE; empty
-  /// (capture disabled) when neither is present.
+  /// `--trace <path>` anywhere in argv; empty (capture disabled) when
+  /// absent.
   static std::string PathFromArgs(int argc, char** argv);
 
   TraceCapture(int argc, char** argv);

@@ -455,13 +455,9 @@ int main(int argc, char** argv) {
     // so a recorded run reproduces exactly the alerts raised here.
     std::unique_ptr<esr::HealthMonitor> health;
     if (!health_path.empty()) {
-      esr::HealthOptions health_options;
-      health_options.source = "threaded_server";
-      health_options.window_s = 1.0;
-      for (esr::GroupId g = 0; g < server.schema().num_groups(); ++g) {
-        health_options.node_names.push_back(server.schema().name(g));
-      }
-      health = std::make_unique<esr::HealthMonitor>(health_options);
+      health = std::make_unique<esr::HealthMonitor>(
+          headroom_series.source, headroom_series.window_s,
+          headroom_series.node_names);
     }
     std::atomic<bool> sampling{true};
     esr::StreamCertifier* const cert = certifier.get();
@@ -544,7 +540,7 @@ int main(int argc, char** argv) {
         }
         if (sharded != nullptr) {
           // Per-shard engine.shard<i>.* gauges, refreshed every tick so
-          // scrapes see live per-shard op/commit/batch counts. Safe
+          // scrapes see live per-shard op/wait/commit counts. Safe
           // against concurrent commits: each gauge reads one shard's
           // stats under its latch (see shard_gauges_test.cc).
           sharded->ExportShardGauges(&server.metrics());
@@ -680,7 +676,6 @@ int main(int argc, char** argv) {
     // journal is written instead of dropped — a mid-run SIGTERM still
     // leaves a parseable journal on disk (pinned by ctest).
     if (health != nullptr && (level == last_level || Interrupted())) {
-      health->Finish();
       const esr::HealthReport report = health->Report();
       const esr::Status s =
           esr::WriteHealthJsonToFile(report, health_path);

@@ -21,20 +21,15 @@ namespace esr {
 /// fields form a monotone chain every consistent snapshot satisfies:
 ///
 ///   applied_writes >= committed_writes >= committed_writers
-///                  >= commit_batches
 ///
 /// (every writer commits >= 1 write, and every committed write was first
-/// applied as a shadow install; a transaction commits on its own, so each
-/// commit batch is exactly one writer).
+/// applied as a shadow install).
 struct ShardStats {
   int64_t ops = 0;             ///< Read/Write ops served under the latch.
   int64_t waits = 0;           ///< Ops answered kWait (strict ordering).
   int64_t applied_writes = 0;  ///< Shadow installs (ApplyWrite calls).
   int64_t committed_writes = 0;
   int64_t committed_writers = 0;  ///< Distinct txns with commits here.
-  /// Commits that wrote on this shard (one batch per commit, so equal to
-  /// committed_writers).
-  int64_t commit_batches = 0;
 };
 
 /// One committed write, in the order the shard committed it. With

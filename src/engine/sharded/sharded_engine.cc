@@ -263,7 +263,6 @@ void ShardedEngine::ReleaseFootprint(Transaction* txn, bool commit) {
       ShardStats& stats = shard.stats();
       stats.committed_writes += committed;
       stats.committed_writers++;
-      stats.commit_batches++;
     }
     for (size_t i = 0; i < reads.size(); ++i) {
       if (shard_of[writes.size() + i] != s) continue;
@@ -379,8 +378,6 @@ void ShardedEngine::ExportShardGauges(MetricRegistry* metrics) {
         .Set(static_cast<double>(stats.committed_writes));
     metrics->gauge(prefix + ".committed_writers")
         .Set(static_cast<double>(stats.committed_writers));
-    metrics->gauge(prefix + ".commit_batches")
-        .Set(static_cast<double>(stats.commit_batches));
   }
   if (shared_import_ != nullptr) shared_import_->ExportGauges(metrics);
   if (shared_export_ != nullptr) shared_export_->ExportGauges(metrics);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "common/saturating.h"
 #include "hierarchy/accumulator.h"
 #include "obs/exporter.h"
 
@@ -23,7 +24,7 @@ struct SpanInfo {
   int64_t end_ts = -1;
 
   bool complete() const { return end_ts >= begin_ts; }
-  int64_t duration() const { return end_ts - begin_ts; }
+  int64_t duration() const { return SaturatingSub(end_ts, begin_ts); }
 };
 
 struct TxnInfo {
@@ -124,9 +125,12 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
       const std::vector<int64_t>& rpcs = it->second.rpc_begins;
       const auto retry =
           std::upper_bound(rpcs.begin(), rpcs.end(), e.ts_micros);
-      if (retry != rpcs.end()) edge.wait_micros = *retry - e.ts_micros;
+      if (retry != rpcs.end()) {
+        edge.wait_micros = SaturatingSub(*retry, e.ts_micros);
+      }
     }
-    conflict_wait_by_txn[edge.waiter] += edge.wait_micros;
+    int64_t& waited = conflict_wait_by_txn[edge.waiter];
+    waited = SaturatingAdd(waited, edge.wait_micros);
     report.conflicts.push_back(edge);
   }
 
@@ -135,7 +139,8 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
     BlockerSummary& b = blockers[edge.writer];
     b.writer = edge.writer;
     ++b.waits_induced;
-    b.total_wait_micros += edge.wait_micros;
+    b.total_wait_micros =
+        SaturatingAdd(b.total_wait_micros, edge.wait_micros);
   }
   for (auto& [writer, b] : blockers) {
     const auto it = txns.find(writer);
@@ -168,15 +173,15 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
         p.txn_span = s.duration();
         break;
       case SpanKind::kRpc:
-        p.rpc += s.duration();
+        p.rpc = SaturatingAdd(p.rpc, s.duration());
         break;
       case SpanKind::kOp:
       case SpanKind::kCommit: {
-        p.service += s.duration();
+        p.service = SaturatingAdd(p.service, s.duration());
         const auto parent = spans.find(s.parent);
         if (parent != spans.end() &&
             parent->second.kind == SpanKind::kRpc) {
-          p.service_in_rpc += s.duration();
+          p.service_in_rpc = SaturatingAdd(p.service_in_rpc, s.duration());
         }
         break;
       }
@@ -198,7 +203,7 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
     if (p.txn_span >= 0) {
       b.total_micros = p.txn_span;
     } else if (t.begin_ts >= 0 && t.end_ts >= t.begin_ts) {
-      b.total_micros = t.end_ts - t.begin_ts;
+      b.total_micros = SaturatingSub(t.end_ts, t.begin_ts);
     } else {
       continue;  // lifetime not captured; nothing to decompose
     }
@@ -206,9 +211,11 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
     b.service_micros = p.service;
     const auto cit = conflict_wait_by_txn.find(id);
     b.conflict_wait_micros = cit != conflict_wait_by_txn.end() ? cit->second : 0;
+    const int64_t accounted =
+        SaturatingAdd(SaturatingAdd(b.rpc_wait_micros, b.service_micros),
+                      b.conflict_wait_micros);
     b.other_micros =
-        std::max<int64_t>(0, b.total_micros - b.rpc_wait_micros -
-                                 b.service_micros - b.conflict_wait_micros);
+        std::max<int64_t>(0, SaturatingSub(b.total_micros, accounted));
     sum_total += static_cast<double>(b.total_micros);
     sum_rpc += static_cast<double>(b.rpc_wait_micros);
     sum_service += static_cast<double>(b.service_micros);

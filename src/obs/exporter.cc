@@ -154,45 +154,6 @@ void WriteMetricsJson(const MetricRegistry& metrics, std::ostream& out) {
 
 namespace {
 
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += "\"\"";
-    out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
-void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& out) {
-  out << "kind,name,count,value,mean,min,max,stddev,p50,p90,p99,p999\n";
-  char buf[352];
-  for (const auto& [name, value] : metrics.CounterSnapshot()) {
-    std::snprintf(buf, sizeof(buf), "counter,%s,,%lld,,,,,,,,\n",
-                  CsvEscape(name).c_str(), static_cast<long long>(value));
-    out << buf;
-  }
-  for (const auto& [name, value] : metrics.GaugeSnapshot()) {
-    std::snprintf(buf, sizeof(buf), "gauge,%s,,%g,,,,,,,,\n",
-                  CsvEscape(name).c_str(), value);
-    out << buf;
-  }
-  for (const auto& [name, h] : metrics.HistogramSnapshot()) {
-    const PercentileSummary p = h.Percentiles();
-    std::snprintf(buf, sizeof(buf),
-                  "histogram,%s,%lld,,%g,%g,%g,%g,%g,%g,%g,%g\n",
-                  CsvEscape(name).c_str(),
-                  static_cast<long long>(h.count()), h.mean(), h.min(),
-                  h.max(), h.stddev(), p.p50, p.p90, p.p99, p.p999);
-    out << buf;
-  }
-}
-
-namespace {
-
 Status WriteToFile(const std::string& path,
                    void (*writer)(const MetricRegistry&, std::ostream&),
                    const MetricRegistry& metrics) {
@@ -213,11 +174,6 @@ Status WriteToFile(const std::string& path,
 Status ExportMetricsJsonToFile(const MetricRegistry& metrics,
                                const std::string& path) {
   return WriteToFile(path, &WriteMetricsJson, metrics);
-}
-
-Status ExportMetricsCsvToFile(const MetricRegistry& metrics,
-                              const std::string& path) {
-  return WriteToFile(path, &WriteMetricsCsv, metrics);
 }
 
 }  // namespace esr

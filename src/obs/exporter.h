@@ -66,16 +66,8 @@ class JsonWriter {
 ///                          p50, p90, p99, p999}, ...}}
 void WriteMetricsJson(const MetricRegistry& metrics, std::ostream& out);
 
-/// Writes the registry as CSV with a uniform header:
-///   kind,name,count,value,mean,min,max,stddev,p50,p90,p99,p999
-/// Counter and gauge rows fill value; histogram rows fill the summary
-/// columns.
-void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& out);
-
 Status ExportMetricsJsonToFile(const MetricRegistry& metrics,
                                const std::string& path);
-Status ExportMetricsCsvToFile(const MetricRegistry& metrics,
-                              const std::string& path);
 
 }  // namespace esr
 

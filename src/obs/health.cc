@@ -1,6 +1,5 @@
 #include "obs/health.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -30,101 +29,217 @@ std::string FormatCount(int64_t v) {
 
 double WindowEnd(const SeriesWindow& w) { return w.start_s + w.duration_s; }
 
-// -- AbortLivelockDetector --------------------------------------------------
+// -- Calibration ------------------------------------------------------------
+//
+// Each detector runs at one calibration, taken from the documented runs
+// (EXPERIMENTS.md) and pinned on both sides of every edge by
+// tests/obs/health_test.cc.
 
-class AbortLivelockDetector : public HealthDetector {
+// abort_livelock: sustained near-zero commits with a live abort/restart
+// rate. The documented MPL 2/low episodic livelock spent 70 consecutive
+// seconds committing nothing while aborting 61-70 transactions per 5 s
+// window.
+/// Consecutive qualifying windows before the alert opens.
+constexpr size_t kLivelockMinWindows = 5;
+/// A window qualifies when committed <= kLivelockMaxCommitted ...
+constexpr int64_t kLivelockMaxCommitted = 0;
+/// ... and aborted (or restarts) >= kLivelockMinAborted. Distinguishes
+/// livelock (work churning, nothing finishing) from idleness.
+constexpr int64_t kLivelockMinAborted = 1;
+
+// thrashing_bistability: rolling bimodality + coefficient-of-variation
+// test on committed-per-window at high MPL. The documented deep-thrashing
+// bistability (MPL >= 8) splits runs into ~17 tps and ~7 tps regimes.
+/// Trailing windows the test runs over.
+constexpr size_t kBistabilityLookback = 20;
+/// Mean active MPL over the lookback must reach this before the test
+/// applies (the phenomenon is documented at MPL >= 8; stable MPL 3/6 rows
+/// must never trip it).
+constexpr double kBistabilityMinMpl = 7.0;
+/// Coefficient of variation (stddev/mean) threshold.
+constexpr double kBistabilityMinCv = 0.4;
+/// The two throughput clusters (split at the lookback mean) must be
+/// separated by at least this fraction of the mean ...
+constexpr double kBistabilityMinSeparationFrac = 0.8;
+/// ... and each cluster must hold at least this fraction of the lookback
+/// windows (rejects one-off dips).
+constexpr double kBistabilityMinClusterFrac = 0.25;
+
+// headroom_exhaustion: per-node epsilon headroom trending to zero before
+// run end, from the NodeHeadroomTracker samples riding each window.
+// Healthy ESR runs routinely brush low per-window headroom — transactions
+// legitimately spend most of their budget and the engine rejects the
+// overdraft — so a low reading alone is NOT an anomaly. The detector
+// fires on two shapes only: a *sustained monotone drain* (shared
+// accumulators emptying toward zero, as in replica-divergence scenarios),
+// or *negative* headroom (a violation the engine should have prevented).
+/// Consecutive charged windows in the trend test.
+constexpr size_t kHeadroomLookback = 10;
+/// Alert when the fitted trend crosses zero within this many windows.
+constexpr double kHeadroomHorizonWindows = 20.0;
+/// Trend alerts only fire once headroom is already below this fraction
+/// (a full tank draining slowly is not an emergency).
+constexpr double kHeadroomMaxStartFrac = 0.5;
+/// The lookback samples must be non-increasing within this tolerance
+/// (stationary noise breaks monotonicity almost surely; a genuine drain
+/// does not).
+constexpr double kHeadroomMonotoneEps = 0.02;
+/// ... and the trailing half of the lookback must have fallen by at least
+/// this much on its own — the drain is ongoing, not a load ramp that
+/// already settled into a plateau.
+constexpr double kHeadroomMinDecline = 0.1;
+/// Headroom falling *while load ramps up* is the expected response to the
+/// ramp, not a drain: the trend test is skipped when mean committed over
+/// the trailing half of the lookback exceeds the leading half's by more
+/// than this factor.
+constexpr double kHeadroomMaxLoadRamp = 1.2;
+/// Immediate kError alert strictly below this fraction: only negative
+/// headroom — an enforced-bound engine never goes below zero, so anything
+/// less is a violation.
+constexpr double kHeadroomExhaustedFrac = 0.0;
+
+// certification_stall: the certified-through watermark lagging the window
+// boundary. The streaming certifier (obs/stream_audit.h) freezes its
+// watermark at the first violation, so a growing lag means either a
+// violation or a stalled certification pipeline.
+/// Lag, in windows, beyond which the alert opens.
+constexpr double kCertificationMaxLagWindows = 3.0;
+
+// shard_imbalance: max/mean per-shard op ratio from the sharded engine's
+// `engine.shard<i>.*` stats (live drivers only; see HealthInput).
+/// max/mean per-shard ops ratio beyond which a window qualifies.
+constexpr double kShardMaxRatio = 4.0;
+/// Windows with fewer total ops than this are ignored (ratios over a
+/// handful of ops are noise).
+constexpr int64_t kShardMinTotalOps = 64;
+/// Consecutive qualifying windows before the alert opens.
+constexpr size_t kShardMinWindows = 2;
+
+// -- Episodes ---------------------------------------------------------------
+
+/// One detector's (or one headroom node's) place in the alert journal,
+/// and the one open/extend/close rule every detector shares. Episodes are
+/// windows-denominated: an alert opens when the detector's condition
+/// starts to hold, extends through each window while it keeps holding,
+/// and closes when it clears.
+class EpisodeTracker {
  public:
-  explicit AbortLivelockDetector(const AbortLivelockOptions& options)
-      : options_(options) {}
+  explicit EpisodeTracker(const char* detector) : detector_(detector) {}
 
-  const char* name() const override { return "abort_livelock"; }
+  bool open() const { return open_; }
 
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    const bool starved = w.committed <= options_.max_committed;
-    const bool churning = w.aborted >= options_.min_aborted ||
-                          w.restarts >= options_.min_aborted;
-    if (starved && churning) {
-      if (streak_ == 0) {
-        streak_start_ = index;
-        streak_start_s_ = w.start_s;
-        streak_aborted_ = 0;
-        streak_committed_ = 0;
-      }
-      ++streak_;
-      streak_aborted_ += w.aborted;
-      streak_committed_ += w.committed;
-      if (streak_ == options_.min_windows) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kError;
-        alert.first_window = streak_start_;
-        alert.last_window = index;
-        alert.start_s = streak_start_s_;
-        alert.end_s = WindowEnd(w);
-        alert.message = "sustained abort livelock: >= " +
-                        FormatCount(static_cast<int64_t>(options_.min_windows)) +
-                        " consecutive windows with <= " +
-                        FormatCount(options_.max_committed) +
-                        " commits while aborting";
-        alert.evidence.emplace_back("windows", static_cast<double>(streak_));
-        alert.evidence.emplace_back("aborted",
-                                    static_cast<double>(streak_aborted_));
-        alert.evidence.emplace_back("committed",
-                                    static_cast<double>(streak_committed_));
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else if (open_) {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else {
-      if (open_) {
-        sink->CloseAlert(handle_);
-        open_ = false;
-      }
-      streak_ = 0;
+  /// Feeds whether the condition `holds` at window `index`. When an
+  /// episode opens, `make_alert()` fills its severity, first window,
+  /// start, blame, message and evidence; the tracker names the detector,
+  /// ends the evidence range at `w`, logs the alert and appends it to
+  /// `journal`.
+  template <typename MakeAlert>
+  void Update(bool holds, size_t index, const SeriesWindow& w,
+              std::vector<Alert>* journal, MakeAlert&& make_alert) {
+    if (!holds) {
+      if (open_) (*journal)[handle_].open = false;
+      open_ = false;
+      return;
     }
+    if (!open_) {
+      Alert alert = make_alert();
+      alert.detector = detector_;
+      alert.open = true;
+      if (alert.severity == AlertSeverity::kError) {
+        ESR_LOG(kError) << "health: " << alert.detector
+                        << " alert opened at window " << alert.first_window
+                        << ": " << alert.message;
+      } else {
+        ESR_LOG(kWarning) << "health: " << alert.detector
+                          << " alert opened at window " << alert.first_window
+                          << ": " << alert.message;
+      }
+      handle_ = journal->size();
+      journal->push_back(std::move(alert));
+      open_ = true;
+    }
+    Alert& alert = (*journal)[handle_];
+    alert.last_window = index;
+    alert.end_s = WindowEnd(w);
   }
 
  private:
-  AbortLivelockOptions options_;
-  size_t streak_ = 0;
-  size_t streak_start_ = 0;
-  double streak_start_s_ = 0.0;
-  int64_t streak_aborted_ = 0;
-  int64_t streak_committed_ = 0;
+  const char* detector_;
   size_t handle_ = 0;
   bool open_ = false;
 };
 
-// -- ThrashingBistabilityDetector -------------------------------------------
+// -- Detectors --------------------------------------------------------------
 
-class ThrashingBistabilityDetector : public HealthDetector {
- public:
-  explicit ThrashingBistabilityDetector(
-      const ThrashingBistabilityOptions& options)
-      : options_(options) {}
+struct AbortLivelock {
+  static constexpr const char* kName = "abort_livelock";
 
-  const char* name() const override { return "thrashing_bistability"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    committed_.push_back(static_cast<double>(w.committed));
-    mpl_.push_back(w.active_mpl);
-    if (committed_.size() > options_.lookback) {
-      committed_.pop_front();
-      mpl_.pop_front();
+  void OnWindow(size_t index, const SeriesWindow& w,
+                std::vector<Alert>* journal) {
+    const bool starved = w.committed <= kLivelockMaxCommitted;
+    const bool churning = w.aborted >= kLivelockMinAborted ||
+                          w.restarts >= kLivelockMinAborted;
+    if (starved && churning) {
+      if (streak == 0) {
+        streak_start = index;
+        streak_start_s = w.start_s;
+        streak_aborted = 0;
+        streak_committed = 0;
+      }
+      ++streak;
+      streak_aborted += w.aborted;
+      streak_committed += w.committed;
+    } else {
+      streak = 0;
     }
-    if (committed_.size() < options_.lookback || options_.lookback < 4) {
-      return;
-    }
+    const auto make_alert = [&] {
+      Alert alert;
+      alert.severity = AlertSeverity::kError;
+      alert.first_window = streak_start;
+      alert.start_s = streak_start_s;
+      alert.message =
+          "sustained abort livelock: >= " +
+          FormatCount(static_cast<int64_t>(kLivelockMinWindows)) +
+          " consecutive windows with <= " +
+          FormatCount(kLivelockMaxCommitted) + " commits while aborting";
+      alert.evidence.emplace_back("windows", static_cast<double>(streak));
+      alert.evidence.emplace_back("aborted",
+                                  static_cast<double>(streak_aborted));
+      alert.evidence.emplace_back("committed",
+                                  static_cast<double>(streak_committed));
+      return alert;
+    };
+    episode.Update(streak >= kLivelockMinWindows, index, w, journal,
+                   make_alert);
+  }
 
-    const size_t n = committed_.size();
+  size_t streak = 0;
+  size_t streak_start = 0;
+  double streak_start_s = 0.0;
+  int64_t streak_aborted = 0;
+  int64_t streak_committed = 0;
+  EpisodeTracker episode{kName};
+};
+
+struct ThrashingBistability {
+  static constexpr const char* kName = "thrashing_bistability";
+
+  void OnWindow(size_t index, const SeriesWindow& w,
+                std::vector<Alert>* journal) {
+    committed.push_back(static_cast<double>(w.committed));
+    mpl.push_back(w.active_mpl);
+    if (committed.size() > kBistabilityLookback) {
+      committed.pop_front();
+      mpl.pop_front();
+    }
+    if (committed.size() < kBistabilityLookback) return;
+
+    const size_t n = committed.size();
     double mean = 0.0;
     double mean_mpl = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      mean += committed_[i];
-      mean_mpl += mpl_[i];
+      mean += committed[i];
+      mean_mpl += mpl[i];
     }
     mean /= static_cast<double>(n);
     mean_mpl /= static_cast<double>(n);
@@ -133,105 +248,111 @@ class ThrashingBistabilityDetector : public HealthDetector {
     double cv = 0.0;
     double mean_low = 0.0;
     double mean_high = 0.0;
-    if (mean_mpl >= options_.min_mpl && mean > 0.0) {
+    if (mean_mpl >= kBistabilityMinMpl && mean > 0.0) {
       double var = 0.0;
       size_t low_n = 0;
       size_t high_n = 0;
       for (size_t i = 0; i < n; ++i) {
-        const double d = committed_[i] - mean;
+        const double d = committed[i] - mean;
         var += d * d;
-        if (committed_[i] < mean) {
-          mean_low += committed_[i];
+        if (committed[i] < mean) {
+          mean_low += committed[i];
           ++low_n;
         } else {
-          mean_high += committed_[i];
+          mean_high += committed[i];
           ++high_n;
         }
       }
       var /= static_cast<double>(n);
       cv = std::sqrt(var) / mean;
       const size_t min_cluster = static_cast<size_t>(
-          options_.min_cluster_frac * static_cast<double>(n));
+          kBistabilityMinClusterFrac * static_cast<double>(n));
       if (low_n >= min_cluster && high_n >= min_cluster && low_n > 0 &&
           high_n > 0) {
         mean_low /= static_cast<double>(low_n);
         mean_high /= static_cast<double>(high_n);
-        bimodal = cv >= options_.min_cv &&
-                  (mean_high - mean_low) >= options_.min_separation_frac * mean;
+        bimodal = cv >= kBistabilityMinCv &&
+                  (mean_high - mean_low) >=
+                      kBistabilityMinSeparationFrac * mean;
       }
     }
 
-    if (bimodal) {
-      if (!open_) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kWarn;
-        alert.first_window = index + 1 - n;
-        alert.last_window = index;
-        alert.start_s = w.start_s - w.duration_s * static_cast<double>(n - 1);
-        alert.end_s = WindowEnd(w);
-        alert.message =
-            "bistable throughput at high MPL: committed/window splits into ~" +
-            FormatNum(mean_high) + " and ~" + FormatNum(mean_low) +
-            " regimes (cv " + FormatNum(cv) + ", mean MPL " +
-            FormatNum(mean_mpl) + ")";
-        alert.evidence.emplace_back("cv", cv);
-        alert.evidence.emplace_back("mean_high", mean_high);
-        alert.evidence.emplace_back("mean_low", mean_low);
-        alert.evidence.emplace_back("mean_mpl", mean_mpl);
-        alert.evidence.emplace_back("lookback", static_cast<double>(n));
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else if (open_) {
-      sink->CloseAlert(handle_);
-      open_ = false;
-    }
+    const auto make_alert = [&] {
+      Alert alert;
+      alert.severity = AlertSeverity::kWarn;
+      alert.first_window = index + 1 - n;
+      alert.start_s = w.start_s - w.duration_s * static_cast<double>(n - 1);
+      alert.message =
+          "bistable throughput at high MPL: committed/window splits into ~" +
+          FormatNum(mean_high) + " and ~" + FormatNum(mean_low) +
+          " regimes (cv " + FormatNum(cv) + ", mean MPL " +
+          FormatNum(mean_mpl) + ")";
+      alert.evidence.emplace_back("cv", cv);
+      alert.evidence.emplace_back("mean_high", mean_high);
+      alert.evidence.emplace_back("mean_low", mean_low);
+      alert.evidence.emplace_back("mean_mpl", mean_mpl);
+      alert.evidence.emplace_back("lookback", static_cast<double>(n));
+      return alert;
+    };
+    episode.Update(bimodal, index, w, journal, make_alert);
   }
 
- private:
-  ThrashingBistabilityOptions options_;
-  std::deque<double> committed_;
-  std::deque<double> mpl_;
-  size_t handle_ = 0;
-  bool open_ = false;
+  std::deque<double> committed;
+  std::deque<double> mpl;
+  EpisodeTracker episode{kName};
 };
 
-// -- HeadroomExhaustionDetector ---------------------------------------------
+struct HeadroomExhaustion {
+  static constexpr const char* kName = "headroom_exhaustion";
 
-class HeadroomExhaustionDetector : public HealthDetector {
- public:
-  HeadroomExhaustionDetector(const HeadroomExhaustionOptions& options,
-                             std::vector<std::string> node_names)
-      : options_(options), node_names_(std::move(node_names)) {}
+  struct Sample {
+    double window = 0.0;
+    double frac = 0.0;
+    double committed = 0.0;
+  };
 
-  const char* name() const override { return "headroom_exhaustion"; }
+  struct NodeState {
+    std::deque<Sample> samples;
+    EpisodeTracker episode{kName};
+  };
 
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    if (states_.size() < w.nodes.size()) states_.resize(w.nodes.size());
+  static double FitSlope(const std::deque<Sample>& pts) {
+    const double n = static_cast<double>(pts.size());
+    double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
+    for (const Sample& p : pts) {
+      sx += p.window;
+      sy += p.frac;
+      sxx += p.window * p.window;
+      sxy += p.window * p.frac;
+    }
+    const double denom = n * sxx - sx * sx;
+    if (denom <= 0.0) return 0.0;
+    return (n * sxy - sx * sy) / denom;
+  }
+
+  void OnWindow(size_t index, const SeriesWindow& w,
+                std::vector<Alert>* journal) {
+    if (nodes.size() < w.nodes.size()) nodes.resize(w.nodes.size());
     for (size_t i = 0; i < w.nodes.size(); ++i) {
       const SeriesNodeWindow& node = w.nodes[i];
-      NodeState& st = states_[i];
+      NodeState& st = nodes[i];
       if (node.charges <= 0) continue;
       st.samples.push_back(Sample{static_cast<double>(index),
                                   node.min_headroom_frac,
                                   static_cast<double>(w.committed)});
-      if (st.samples.size() > options_.lookback) st.samples.pop_front();
+      if (st.samples.size() > kHeadroomLookback) st.samples.pop_front();
 
       const double latest = node.min_headroom_frac;
       bool firing = false;
       double slope = 0.0;
       double windows_to_zero = -1.0;
-      const bool exhausted = latest < options_.exhausted_frac;
-      if (!exhausted && st.samples.size() >= options_.lookback &&
-          options_.lookback >= 3 && latest <= options_.max_start_frac) {
+      const bool exhausted = latest < kHeadroomExhaustedFrac;
+      if (!exhausted && st.samples.size() >= kHeadroomLookback &&
+          latest <= kHeadroomMaxStartFrac) {
         bool monotone = true;
         for (size_t s = 1; s < st.samples.size(); ++s) {
           if (st.samples[s].frac >
-              st.samples[s - 1].frac + options_.monotone_eps) {
+              st.samples[s - 1].frac + kHeadroomMonotoneEps) {
             monotone = false;
             break;
           }
@@ -254,145 +375,90 @@ class HeadroomExhaustionDetector : public HealthDetector {
         trail_committed /= static_cast<double>(st.samples.size() - mid);
         const bool load_ramping =
             lead_committed > 0.0 &&
-            trail_committed > options_.max_load_ramp * lead_committed;
+            trail_committed > kHeadroomMaxLoadRamp * lead_committed;
         if (monotone && !load_ramping &&
-            recent_decline >= options_.min_decline) {
+            recent_decline >= kHeadroomMinDecline) {
           slope = FitSlope(st.samples);
           if (slope < 0.0) {
             windows_to_zero = latest / -slope;
-            firing = windows_to_zero <= options_.horizon_windows;
+            firing = windows_to_zero <= kHeadroomHorizonWindows;
           }
         }
       }
       firing = firing || exhausted;
 
-      if (firing) {
-        if (!st.open) {
-          Alert alert;
-          alert.detector = name();
-          alert.severity =
-              latest < 0.0 ? AlertSeverity::kError : AlertSeverity::kWarn;
-          alert.first_window = index;
-          alert.last_window = index;
-          alert.start_s = w.start_s;
-          alert.end_s = WindowEnd(w);
-          alert.node = i < node_names_.size() ? node_names_[i] : FormatCount(i);
-          if (exhausted) {
-            alert.message = "epsilon headroom exhausted at node '" +
-                            alert.node + "': min headroom fraction " +
-                            FormatNum(latest) + " < " +
-                            FormatNum(options_.exhausted_frac);
-          } else {
-            alert.message = "epsilon headroom at node '" + alert.node +
-                            "' trending to zero: fraction " +
-                            FormatNum(latest) + ", ~" +
-                            FormatNum(windows_to_zero) + " windows to empty";
-          }
-          alert.evidence.emplace_back("headroom_frac", latest);
-          alert.evidence.emplace_back("slope_per_window", slope);
-          alert.evidence.emplace_back("windows_to_zero", windows_to_zero);
-          st.handle = sink->OpenAlert(std::move(alert));
-          st.open = true;
+      const auto make_alert = [&] {
+        Alert alert;
+        alert.severity =
+            latest < 0.0 ? AlertSeverity::kError : AlertSeverity::kWarn;
+        alert.first_window = index;
+        alert.start_s = w.start_s;
+        alert.node = i < node_names.size() ? node_names[i] : FormatCount(i);
+        if (exhausted) {
+          alert.message = "epsilon headroom exhausted at node '" + alert.node +
+                          "': min headroom fraction " + FormatNum(latest) +
+                          " < " + FormatNum(kHeadroomExhaustedFrac);
         } else {
-          sink->ExtendAlert(st.handle, index, WindowEnd(w));
+          alert.message = "epsilon headroom at node '" + alert.node +
+                          "' trending to zero: fraction " + FormatNum(latest) +
+                          ", ~" + FormatNum(windows_to_zero) +
+                          " windows to empty";
         }
-      } else if (st.open) {
-        sink->CloseAlert(st.handle);
-        st.open = false;
-      }
+        alert.evidence.emplace_back("headroom_frac", latest);
+        alert.evidence.emplace_back("slope_per_window", slope);
+        alert.evidence.emplace_back("windows_to_zero", windows_to_zero);
+        return alert;
+      };
+      st.episode.Update(firing, index, w, journal, make_alert);
     }
   }
 
- private:
-  struct Sample {
-    double window = 0.0;
-    double frac = 0.0;
-    double committed = 0.0;
-  };
-
-  struct NodeState {
-    std::deque<Sample> samples;
-    size_t handle = 0;
-    bool open = false;
-  };
-
-  static double FitSlope(const std::deque<Sample>& pts) {
-    const double n = static_cast<double>(pts.size());
-    double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-    for (const Sample& p : pts) {
-      sx += p.window;
-      sy += p.frac;
-      sxx += p.window * p.window;
-      sxy += p.window * p.frac;
+  /// True while any node has an open episode.
+  bool open() const {
+    for (const NodeState& st : nodes) {
+      if (st.episode.open()) return true;
     }
-    const double denom = n * sxx - sx * sx;
-    if (denom <= 0.0) return 0.0;
-    return (n * sxy - sx * sy) / denom;
+    return false;
   }
 
-  HeadroomExhaustionOptions options_;
-  std::vector<std::string> node_names_;
-  std::vector<NodeState> states_;
+  std::vector<std::string> node_names;
+  std::vector<NodeState> nodes;
 };
 
-// -- CertificationStallDetector ---------------------------------------------
+struct CertificationStall {
+  static constexpr const char* kName = "certification_stall";
 
-class CertificationStallDetector : public HealthDetector {
- public:
-  explicit CertificationStallDetector(const CertificationStallOptions& options)
-      : options_(options) {}
-
-  const char* name() const override { return "certification_stall"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
+  void OnWindow(size_t index, const SeriesWindow& w,
+                std::vector<Alert>* journal) {
     if (w.certified_through_s < 0.0 || w.duration_s <= 0.0) return;
     const double lag_windows =
         (WindowEnd(w) - w.certified_through_s) / w.duration_s;
-    if (lag_windows >= options_.max_lag_windows) {
-      if (!open_) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kError;
-        alert.first_window = index;
-        alert.last_window = index;
-        alert.start_s = w.start_s;
-        alert.end_s = WindowEnd(w);
-        alert.message = "certification watermark stalled: certified through " +
-                        FormatNum(w.certified_through_s) + " s, " +
-                        FormatNum(lag_windows) +
-                        " windows behind the window boundary";
-        alert.evidence.emplace_back("lag_windows", lag_windows);
-        alert.evidence.emplace_back("certified_through_s",
-                                    w.certified_through_s);
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else if (open_) {
-      sink->CloseAlert(handle_);
-      open_ = false;
-    }
+    const auto make_alert = [&] {
+      Alert alert;
+      alert.severity = AlertSeverity::kError;
+      alert.first_window = index;
+      alert.start_s = w.start_s;
+      alert.message = "certification watermark stalled: certified through " +
+                      FormatNum(w.certified_through_s) + " s, " +
+                      FormatNum(lag_windows) +
+                      " windows behind the window boundary";
+      alert.evidence.emplace_back("lag_windows", lag_windows);
+      alert.evidence.emplace_back("certified_through_s",
+                                  w.certified_through_s);
+      return alert;
+    };
+    episode.Update(lag_windows >= kCertificationMaxLagWindows, index, w,
+                   journal, make_alert);
   }
 
- private:
-  CertificationStallOptions options_;
-  size_t handle_ = 0;
-  bool open_ = false;
+  EpisodeTracker episode{kName};
 };
 
-// -- ShardImbalanceDetector -------------------------------------------------
-
-class ShardImbalanceDetector : public HealthDetector {
- public:
-  explicit ShardImbalanceDetector(const ShardImbalanceOptions& options)
-      : options_(options) {}
-
-  const char* name() const override { return "shard_imbalance"; }
+struct ShardImbalance {
+  static constexpr const char* kName = "shard_imbalance";
 
   void OnWindow(size_t index, const SeriesWindow& w, const HealthInput& input,
-                AlertSink* sink) override {
+                std::vector<Alert>* journal) {
     bool qualifies = false;
     double ratio = 0.0;
     double mean = 0.0;
@@ -407,57 +473,45 @@ class ShardImbalanceDetector : public HealthDetector {
           hot_shard = static_cast<int>(i);
         }
       }
-      if (total >= options_.min_total_ops && total > 0) {
+      if (total >= kShardMinTotalOps) {
         mean = static_cast<double>(total) /
                static_cast<double>(input.shard_ops.size());
         ratio = static_cast<double>(max_ops) / mean;
-        qualifies = ratio >= options_.max_ratio;
+        qualifies = ratio >= kShardMaxRatio;
       }
     }
 
     if (qualifies) {
-      if (streak_ == 0) {
-        streak_start_ = index;
-        streak_start_s_ = w.start_s;
+      if (streak == 0) {
+        streak_start = index;
+        streak_start_s = w.start_s;
       }
-      ++streak_;
-      if (streak_ == options_.min_windows) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kWarn;
-        alert.first_window = streak_start_;
-        alert.last_window = index;
-        alert.start_s = streak_start_s_;
-        alert.end_s = WindowEnd(w);
-        alert.shard = hot_shard;
-        alert.message = "shard imbalance: shard " + FormatCount(hot_shard) +
-                        " carries " + FormatNum(ratio) +
-                        "x the mean per-shard op rate";
-        alert.evidence.emplace_back("max_over_mean", ratio);
-        alert.evidence.emplace_back("hot_shard_ops",
-                                    static_cast<double>(max_ops));
-        alert.evidence.emplace_back("mean_shard_ops", mean);
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else if (open_) {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
+      ++streak;
     } else {
-      if (open_) {
-        sink->CloseAlert(handle_);
-        open_ = false;
-      }
-      streak_ = 0;
+      streak = 0;
     }
+    const auto make_alert = [&] {
+      Alert alert;
+      alert.severity = AlertSeverity::kWarn;
+      alert.first_window = streak_start;
+      alert.start_s = streak_start_s;
+      alert.shard = hot_shard;
+      alert.message = "shard imbalance: shard " + FormatCount(hot_shard) +
+                      " carries " + FormatNum(ratio) +
+                      "x the mean per-shard op rate";
+      alert.evidence.emplace_back("max_over_mean", ratio);
+      alert.evidence.emplace_back("hot_shard_ops",
+                                  static_cast<double>(max_ops));
+      alert.evidence.emplace_back("mean_shard_ops", mean);
+      return alert;
+    };
+    episode.Update(streak >= kShardMinWindows, index, w, journal, make_alert);
   }
 
- private:
-  ShardImbalanceOptions options_;
-  size_t streak_ = 0;
-  size_t streak_start_ = 0;
-  double streak_start_s_ = 0.0;
-  size_t handle_ = 0;
-  bool open_ = false;
+  size_t streak = 0;
+  size_t streak_start = 0;
+  double streak_start_s = 0.0;
+  EpisodeTracker episode{kName};
 };
 
 }  // namespace
@@ -474,78 +528,40 @@ const char* AlertSeverityName(AlertSeverity severity) {
   return "warn";
 }
 
-HealthMonitor::HealthMonitor(HealthOptions options)
-    : options_(std::move(options)) {
-  if (options_.livelock.enabled) {
-    detectors_.push_back(
-        std::make_unique<AbortLivelockDetector>(options_.livelock));
-  }
-  if (options_.bistability.enabled) {
-    detectors_.push_back(
-        std::make_unique<ThrashingBistabilityDetector>(options_.bistability));
-  }
-  if (options_.headroom.enabled) {
-    detectors_.push_back(std::make_unique<HeadroomExhaustionDetector>(
-        options_.headroom, options_.node_names));
-  }
-  if (options_.certification.enabled) {
-    detectors_.push_back(
-        std::make_unique<CertificationStallDetector>(options_.certification));
-  }
-  if (options_.shard_imbalance.enabled) {
-    detectors_.push_back(
-        std::make_unique<ShardImbalanceDetector>(options_.shard_imbalance));
-  }
+/// The detectors in the order they see each window, which fixes the
+/// order of same-window alerts in the journal.
+struct HealthMonitor::Detectors {
+  AbortLivelock livelock;
+  ThrashingBistability bistability;
+  HeadroomExhaustion headroom;
+  CertificationStall certification;
+  ShardImbalance shard_imbalance;
+};
+
+HealthMonitor::HealthMonitor(std::string source, double window_s,
+                             std::vector<std::string> node_names)
+    : source_(std::move(source)),
+      window_s_(window_s),
+      detectors_(std::make_unique<Detectors>()) {
+  detectors_->headroom.node_names = std::move(node_names);
 }
 
 HealthMonitor::~HealthMonitor() = default;
 
-void HealthMonitor::AddDetector(std::unique_ptr<HealthDetector> detector) {
-  detectors_.push_back(std::move(detector));
-}
-
 void HealthMonitor::OnWindow(const SeriesWindow& window,
                              const HealthInput& input) {
   const size_t index = windows_++;
-  for (auto& detector : detectors_) {
-    detector->OnWindow(index, window, input, this);
-  }
-}
-
-void HealthMonitor::Finish() {
-  if (finished_) return;
-  finished_ = true;
-  for (auto& detector : detectors_) {
-    detector->Finish(this);
-  }
-}
-
-size_t HealthMonitor::active_alerts() const {
-  size_t active = 0;
-  for (const Alert& a : alerts_) {
-    if (a.open) ++active;
-  }
-  return active;
-}
-
-bool HealthMonitor::detector_active(const std::string& name) const {
-  for (const Alert& a : alerts_) {
-    if (a.open && a.detector == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> HealthMonitor::detector_names() const {
-  std::vector<std::string> names;
-  names.reserve(detectors_.size());
-  for (const auto& d : detectors_) names.emplace_back(d->name());
-  return names;
+  detectors_->livelock.OnWindow(index, window, &alerts_);
+  detectors_->bistability.OnWindow(index, window, &alerts_);
+  detectors_->headroom.OnWindow(index, window, &alerts_);
+  detectors_->certification.OnWindow(index, window, &alerts_);
+  detectors_->shard_imbalance.OnWindow(index, window, input, &alerts_);
 }
 
 HealthReport HealthMonitor::Report() const {
   HealthReport report;
-  report.source = options_.source;
-  report.window_s = options_.window_s;
+  report.source = source_;
+  report.window_s = window_s_;
   report.windows = windows_;
   report.alerts = alerts_;
   return report;
@@ -554,52 +570,25 @@ HealthReport HealthMonitor::Report() const {
 void HealthMonitor::ExportGauges(MetricRegistry* metrics) const {
   if (metrics == nullptr) return;
   metrics->gauge("alert.count").Set(static_cast<double>(alerts_.size()));
-  for (const auto& d : detectors_) {
-    metrics->gauge(std::string("alert.active.") + d->name())
-        .Set(detector_active(d->name()) ? 1.0 : 0.0);
+  const std::pair<const char*, bool> active[] = {
+      {AbortLivelock::kName, detectors_->livelock.episode.open()},
+      {ThrashingBistability::kName, detectors_->bistability.episode.open()},
+      {HeadroomExhaustion::kName, detectors_->headroom.open()},
+      {CertificationStall::kName, detectors_->certification.episode.open()},
+      {ShardImbalance::kName, detectors_->shard_imbalance.episode.open()},
+  };
+  for (const auto& [name, open] : active) {
+    metrics->gauge(std::string("alert.active.") + name).Set(open ? 1.0 : 0.0);
   }
-}
-
-size_t HealthMonitor::OpenAlert(Alert alert) {
-  alert.open = true;
-  if (options_.log_alerts) {
-    if (alert.severity == AlertSeverity::kError) {
-      ESR_LOG(kError) << "health: " << alert.detector
-                      << " alert opened at window " << alert.first_window
-                      << ": " << alert.message;
-    } else {
-      ESR_LOG(kWarning) << "health: " << alert.detector
-                        << " alert opened at window " << alert.first_window
-                        << ": " << alert.message;
-    }
-  }
-  alerts_.push_back(std::move(alert));
-  return alerts_.size() - 1;
-}
-
-void HealthMonitor::ExtendAlert(size_t handle, size_t window, double end_s) {
-  if (handle >= alerts_.size()) return;
-  Alert& a = alerts_[handle];
-  a.last_window = window;
-  a.end_s = end_s;
-}
-
-void HealthMonitor::CloseAlert(size_t handle) {
-  if (handle >= alerts_.size()) return;
-  alerts_[handle].open = false;
 }
 
 // -- Offline analysis -------------------------------------------------------
 
-HealthReport AnalyzeSeries(const RunSeries& series, HealthOptions options) {
-  if (options.source.empty()) options.source = series.source;
-  options.window_s = series.window_s;
-  if (options.node_names.empty()) options.node_names = series.node_names;
-  HealthMonitor monitor(std::move(options));
+HealthReport AnalyzeSeries(const RunSeries& series) {
+  HealthMonitor monitor(series.source, series.window_s, series.node_names);
   for (const SeriesWindow& w : series.windows) {
     monitor.OnWindow(w);
   }
-  monitor.Finish();
   return monitor.Report();
 }
 

@@ -80,9 +80,8 @@ struct RunSeries {
 ///   kind,window,start_s,duration_s,committed,aborted,restarts,active_mpl,
 ///       mean_op_latency_ms,node,max_accumulated,min_headroom_frac,
 ///       limit_at_min,charges,certified_through_s
-/// Mirrors the metrics CSV's leading `kind` discriminator so both load
-/// with the same one-liner. The reader also accepts the pre-certification
-/// 14-field layout (certified_through_s reads as -1 / off).
+/// The reader also accepts the pre-certification 14-field layout
+/// (certified_through_s reads as -1 / off).
 void WriteSeriesCsv(const RunSeries& series, std::ostream& out);
 
 /// JSON mirror of the CSV (same field names), nested:

@@ -6,20 +6,9 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/saturating.h"
 
 namespace esr {
-
-namespace {
-
-/// a + b, clamped to the int64_t range instead of overflowing.
-int64_t SaturatingAdd(int64_t a, int64_t b) {
-  int64_t sum = 0;
-  if (!__builtin_add_overflow(a, b, &sum)) return sum;
-  return b > 0 ? std::numeric_limits<int64_t>::max()
-               : std::numeric_limits<int64_t>::min();
-}
-
-}  // namespace
 
 StreamCertifier::StreamCertifier(StreamCertifierOptions options)
     : options_(std::move(options)),

@@ -32,9 +32,10 @@ enum class EngineKind : uint8_t {
   /// and per-object version storage. Ignores inconsistency bounds.
   kMultiversion = 2,
   /// The TO-ESR protocol scaled across cores: the object store is
-  /// partitioned into independently-latched shards, commits are group
-  /// commits, and an optional engine-wide epsilon budget is enforced by
-  /// lock-free sharded accumulators (src/engine/sharded/).
+  /// partitioned into independently-latched shards, each transaction
+  /// commits on its own thread one shard latch at a time, and an optional
+  /// engine-wide epsilon budget is enforced by lock-free sharded
+  /// accumulators (src/engine/sharded/).
   kSharded = 3,
 };
 

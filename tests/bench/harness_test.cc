@@ -248,16 +248,11 @@ TEST(SweepTest, SeriesExportIsByteIdenticalAcrossJobs) {
   EXPECT_NE(series->source.find("harness_test"), std::string::npos);
 }
 
-TEST(CertifyFromArgsTest, FlagOrEnvironmentEnables) {
-  Argv with_flag({"bin", "--certify"});
+TEST(CertifyFromArgsTest, OnlyTheFlagEnables) {
+  Argv with_flag({"bin", "--json", "out.json", "--certify"});
   EXPECT_TRUE(CertifyFromArgs(with_flag.argc(), with_flag.argv()));
-  Argv no_flag({"bin"});
+  Argv no_flag({"bin", "--json", "out.json"});
   EXPECT_FALSE(CertifyFromArgs(no_flag.argc(), no_flag.argv()));
-  ::setenv("ESR_BENCH_CERTIFY", "1", /*overwrite=*/1);
-  EXPECT_TRUE(CertifyFromArgs(no_flag.argc(), no_flag.argv()));
-  ::setenv("ESR_BENCH_CERTIFY", "0", /*overwrite=*/1);
-  EXPECT_FALSE(CertifyFromArgs(no_flag.argc(), no_flag.argv()));
-  ::unsetenv("ESR_BENCH_CERTIFY");
 }
 
 #ifndef ESR_TRACE_DISABLED
@@ -338,13 +333,10 @@ TEST(RunScaleTest, FromEnvAppliesThePresets) {
   ::unsetenv("ESR_BENCH_FULL");
 }
 
-TEST(SeriesPathFromArgsTest, FlagWinsOverEnvironment) {
-  ::setenv("ESR_BENCH_SERIES", "env.csv", /*overwrite=*/1);
+TEST(SeriesPathFromArgsTest, OnlyTheFlagSetsThePath) {
   Argv args({"bin", "--series", "flag.csv"});
   EXPECT_EQ(SeriesPathFromArgs(args.argc(), args.argv()), "flag.csv");
   Argv no_flag({"bin"});
-  EXPECT_EQ(SeriesPathFromArgs(no_flag.argc(), no_flag.argv()), "env.csv");
-  ::unsetenv("ESR_BENCH_SERIES");
   EXPECT_EQ(SeriesPathFromArgs(no_flag.argc(), no_flag.argv()), "");
 }
 

@@ -7,21 +7,12 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/metrics.h"
 #include "obs/json_value.h"
 
 namespace esr {
 namespace {
-
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
 
 TEST(JsonWriterTest, WritesNestedStructures) {
   std::ostringstream out;
@@ -126,34 +117,7 @@ TEST(MetricsJsonTest, EmptyRegistryIsStillValidJson) {
   EXPECT_TRUE(root.Find("histograms")->object.empty());
 }
 
-TEST(MetricsCsvTest, EmitsHeaderAndOneRowPerMetric) {
-  MetricRegistry reg;
-  reg.counter("aborts").Increment(7);
-  reg.histogram("latency").Record(2.0);
-  reg.histogram("latency").Record(4.0);
-
-  std::ostringstream out;
-  WriteMetricsCsv(reg, out);
-  const std::vector<std::string> lines = SplitLines(out.str());
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0],
-            "kind,name,count,value,mean,min,max,stddev,p50,p90,p99,p999");
-  EXPECT_EQ(lines[1], "counter,aborts,,7,,,,,,,,");
-  EXPECT_EQ(lines[2].rfind("histogram,latency,2,,3,2,4,", 0), 0u)
-      << lines[2];
-}
-
-TEST(MetricsCsvTest, QuotesNamesContainingCommas) {
-  MetricRegistry reg;
-  reg.counter("weird,name").Increment();
-  std::ostringstream out;
-  WriteMetricsCsv(reg, out);
-  const std::vector<std::string> lines = SplitLines(out.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[1], "counter,\"weird,name\",,1,,,,,,,,");
-}
-
-TEST(MetricsExportFileTest, JsonAndCsvRoundTripThroughDisk) {
+TEST(MetricsExportFileTest, JsonRoundTripsThroughDisk) {
   MetricRegistry reg;
   reg.counter("c").Increment(5);
   reg.histogram("h").Record(1.5);
@@ -168,20 +132,11 @@ TEST(MetricsExportFileTest, JsonAndCsvRoundTripThroughDisk) {
   std::string error;
   ASSERT_TRUE(ParseJson(json_buf.str(), &root, &error)) << error;
   EXPECT_EQ(root.Find("counters")->Find("c")->number, 5.0);
-
-  const std::string csv_path =
-      ::testing::TempDir() + "/esr_exporter_test_metrics.csv";
-  ASSERT_TRUE(ExportMetricsCsvToFile(reg, csv_path).ok());
-  std::ifstream csv_in(csv_path);
-  std::stringstream csv_buf;
-  csv_buf << csv_in.rdbuf();
-  EXPECT_EQ(SplitLines(csv_buf.str()).size(), 3u);
 }
 
 TEST(MetricsExportFileTest, BadPathReturnsError) {
   MetricRegistry reg;
   EXPECT_FALSE(ExportMetricsJsonToFile(reg, "/nonexistent-dir/m.json").ok());
-  EXPECT_FALSE(ExportMetricsCsvToFile(reg, "/nonexistent-dir/m.csv").ok());
 }
 
 }  // namespace

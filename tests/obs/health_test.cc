@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,12 +13,6 @@
 
 namespace esr {
 namespace {
-
-HealthOptions QuietOptions() {
-  HealthOptions options;
-  options.log_alerts = false;
-  return options;
-}
 
 size_t CountDetector(const HealthReport& report, const std::string& name) {
   size_t n = 0;
@@ -37,8 +32,7 @@ const Alert* FindDetector(const HealthReport& report, const std::string& name) {
 // -- Synthetic detector shapes ----------------------------------------------
 
 TEST(HealthDetectorTest, LivelockDemoFiresWithExactEvidenceWindows) {
-  const HealthReport report =
-      AnalyzeSeries(BuildLivelockDemoSeries(), QuietOptions());
+  const HealthReport report = AnalyzeSeries(BuildLivelockDemoSeries());
   ASSERT_EQ(report.alerts.size(), 1u);
   const Alert& a = report.alerts[0];
   EXPECT_EQ(a.detector, "abort_livelock");
@@ -54,8 +48,7 @@ TEST(HealthDetectorTest, LivelockDemoFiresWithExactEvidenceWindows) {
 }
 
 TEST(HealthDetectorTest, BistableDemoFiresThrashingBistability) {
-  const HealthReport report =
-      AnalyzeSeries(BuildBistableDemoSeries(), QuietOptions());
+  const HealthReport report = AnalyzeSeries(BuildBistableDemoSeries());
   const Alert* a = FindDetector(report, "thrashing_bistability");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->severity, AlertSeverity::kWarn);
@@ -75,7 +68,7 @@ TEST(HealthDetectorTest, SteadyDemoSeriesIsHealthy) {
   // The series demo (ramp then steady ~100/s) must not alert: the ramp
   // is monotone *up*, the steady state has tiny CV at MPL 4.
   const HealthReport report =
-      AnalyzeSeries(BuildDemoSeries(/*with_violation=*/false), QuietOptions());
+      AnalyzeSeries(BuildDemoSeries(/*with_violation=*/false));
   EXPECT_TRUE(report.healthy())
       << "unexpected alert: " << report.alerts[0].detector << ": "
       << report.alerts[0].message;
@@ -91,7 +84,7 @@ TEST(HealthDetectorTest, IdleSeriesIsNotLivelock) {
     w.duration_s = 1.0;
     series.windows.push_back(w);
   }
-  EXPECT_TRUE(AnalyzeSeries(series, QuietOptions()).healthy());
+  EXPECT_TRUE(AnalyzeSeries(series).healthy());
 }
 
 TEST(HealthDetectorTest, ShortStarvationDoesNotFire) {
@@ -102,9 +95,7 @@ TEST(HealthDetectorTest, ShortStarvationDoesNotFire) {
     series.windows[i].aborted = 5;
     series.windows[i].restarts = 5;
   }
-  EXPECT_EQ(
-      CountDetector(AnalyzeSeries(series, QuietOptions()), "abort_livelock"),
-      0u);
+  EXPECT_EQ(CountDetector(AnalyzeSeries(series), "abort_livelock"), 0u);
 }
 
 TEST(HealthDetectorTest, HeadroomMonotoneDrainFires) {
@@ -126,7 +117,7 @@ TEST(HealthDetectorTest, HeadroomMonotoneDrainFires) {
     w.nodes = {node};
     series.windows.push_back(std::move(w));
   }
-  const HealthReport report = AnalyzeSeries(series, QuietOptions());
+  const HealthReport report = AnalyzeSeries(series);
   const Alert* a = FindDetector(report, "headroom_exhaustion");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->node, "root");
@@ -156,14 +147,14 @@ TEST(HealthDetectorTest, NoisyStationaryHeadroomDoesNotFire) {
     w.nodes = {node};
     series.windows.push_back(std::move(w));
   }
-  EXPECT_EQ(CountDetector(AnalyzeSeries(series, QuietOptions()),
+  EXPECT_EQ(CountDetector(AnalyzeSeries(series),
                           "headroom_exhaustion"),
             0u);
 }
 
 TEST(HealthDetectorTest, NegativeHeadroomIsAnImmediateError) {
   RunSeries series = BuildDemoSeries(/*with_violation=*/true);
-  const HealthReport report = AnalyzeSeries(series, QuietOptions());
+  const HealthReport report = AnalyzeSeries(series);
   const Alert* a = FindDetector(report, "headroom_exhaustion");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->severity, AlertSeverity::kError);
@@ -183,7 +174,7 @@ TEST(HealthDetectorTest, CertificationStallFiresWhenWatermarkFreezes) {
     w.certified_through_s = i < 10 ? i + 1.0 : 10.0;
     series.windows.push_back(w);
   }
-  const HealthReport report = AnalyzeSeries(series, QuietOptions());
+  const HealthReport report = AnalyzeSeries(series);
   const Alert* a = FindDetector(report, "certification_stall");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->severity, AlertSeverity::kError);
@@ -196,26 +187,31 @@ TEST(HealthDetectorTest, CertificationStallFiresWhenWatermarkFreezes) {
 TEST(HealthDetectorTest, CertificationOffNeverStalls) {
   RunSeries series = BuildLivelockDemoSeries();
   for (SeriesWindow& w : series.windows) w.certified_through_s = -1.0;
-  EXPECT_EQ(CountDetector(AnalyzeSeries(series, QuietOptions()),
+  EXPECT_EQ(CountDetector(AnalyzeSeries(series),
                           "certification_stall"),
             0u);
 }
 
-TEST(HealthDetectorTest, ShardImbalanceFiresOnHotShard) {
-  HealthOptions options = QuietOptions();
-  HealthMonitor monitor(options);
+// Feeds one window per entry of `windows`, each carrying those per-shard
+// op deltas.
+HealthReport FeedShardOps(const std::vector<std::vector<int64_t>>& windows) {
+  HealthMonitor monitor("", 1.0, {});
   SeriesWindow w;
   w.duration_s = 1.0;
   w.committed = 100;
-  for (int i = 0; i < 4; ++i) {
-    w.start_s = i;
+  for (size_t i = 0; i < windows.size(); ++i) {
+    w.start_s = static_cast<double>(i);
     HealthInput input;
-    // Shard 2 carries ~5.3x the mean op rate.
-    input.shard_ops = {100, 100, 3000, 100, 100, 100, 100, 100};
+    input.shard_ops = windows[i];
     monitor.OnWindow(w, input);
   }
-  monitor.Finish();
-  const HealthReport report = monitor.Report();
+  return monitor.Report();
+}
+
+TEST(HealthDetectorTest, ShardImbalanceFiresOnHotShard) {
+  // Shard 2 carries ~5.3x the mean op rate.
+  const std::vector<int64_t> hot = {100, 100, 3000, 100, 100, 100, 100, 100};
+  const HealthReport report = FeedShardOps({hot, hot, hot, hot});
   const Alert* a = FindDetector(report, "shard_imbalance");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->shard, 2);
@@ -223,25 +219,157 @@ TEST(HealthDetectorTest, ShardImbalanceFiresOnHotShard) {
 }
 
 TEST(HealthDetectorTest, BalancedShardsStayQuiet) {
-  HealthMonitor monitor(QuietOptions());
-  SeriesWindow w;
-  w.duration_s = 1.0;
-  w.committed = 100;
-  for (int i = 0; i < 10; ++i) {
-    w.start_s = i;
-    HealthInput input;
-    input.shard_ops = {900, 1100, 1000, 950, 1050, 1000, 980, 1020};
-    monitor.OnWindow(w, input);
+  const std::vector<int64_t> balanced = {900, 1100, 1000, 950,
+                                         1050, 1000, 980, 1020};
+  EXPECT_TRUE(
+      FeedShardOps(std::vector<std::vector<int64_t>>(10, balanced)).healthy());
+}
+
+// -- Calibration boundaries ---------------------------------------------------
+//
+// Each detector runs at one fixed calibration; these cases pin every
+// threshold on both sides of its edge.
+
+// Healthy windows around `starved` consecutive zero-commit, aborting ones.
+RunSeries StarvationSeries(size_t starved) {
+  RunSeries series;
+  series.window_s = 1.0;
+  for (size_t i = 0; i < starved + 10; ++i) {
+    SeriesWindow w;
+    w.start_s = static_cast<double>(i);
+    w.duration_s = 1.0;
+    const bool is_starved = i >= 5 && i < 5 + starved;
+    w.committed = is_starved ? 0 : 40;
+    w.aborted = 3;
+    w.restarts = 3;
+    w.active_mpl = 2.0;
+    series.windows.push_back(w);
   }
-  monitor.Finish();
-  EXPECT_TRUE(monitor.Report().healthy());
+  return series;
+}
+
+TEST(HealthThresholdTest, LivelockNeedsFiveQualifyingWindows) {
+  EXPECT_TRUE(AnalyzeSeries(StarvationSeries(4)).healthy());
+  const HealthReport report = AnalyzeSeries(StarvationSeries(5));
+  ASSERT_EQ(report.alerts.size(), 1u);
+  EXPECT_EQ(report.alerts[0].detector, "abort_livelock");
+  EXPECT_EQ(report.alerts[0].first_window, 5u);
+  EXPECT_EQ(report.alerts[0].last_window, 9u);
+  EXPECT_FALSE(report.alerts[0].open);
+}
+
+TEST(HealthThresholdTest, ShardImbalanceRatioEdgeIsFour) {
+  // 8 shards, 800 ops: max/mean = max / 100.
+  const std::vector<int64_t> just_under = {399, 58, 58, 57, 57, 57, 57, 57};
+  const std::vector<int64_t> at_four = {400, 58, 57, 57, 57, 57, 57, 57};
+  EXPECT_TRUE(FeedShardOps({just_under, just_under, just_under}).healthy());
+  const HealthReport report = FeedShardOps({at_four, at_four, at_four});
+  ASSERT_EQ(report.alerts.size(), 1u);
+  EXPECT_EQ(report.alerts[0].detector, "shard_imbalance");
+  EXPECT_EQ(report.alerts[0].shard, 0);
+  EXPECT_EQ(report.alerts[0].first_window, 0u);
+  EXPECT_EQ(report.alerts[0].last_window, 2u);
+}
+
+TEST(HealthThresholdTest, ShardImbalanceIgnoresWindowsUnder64Ops) {
+  // Both shapes are ratio 4.0 on 4 shards; only the 64-op one counts.
+  EXPECT_TRUE(FeedShardOps({{63, 0, 0, 0}, {63, 0, 0, 0}}).healthy());
+  EXPECT_EQ(CountDetector(FeedShardOps({{64, 0, 0, 0}, {64, 0, 0, 0}}),
+                          "shard_imbalance"),
+            1u);
+}
+
+TEST(HealthThresholdTest, ShardImbalanceNeedsTwoWindows) {
+  const std::vector<int64_t> hot = {400, 0, 0, 0};
+  const std::vector<int64_t> even = {100, 100, 100, 100};
+  EXPECT_TRUE(FeedShardOps({hot, even, hot, even}).healthy());
+  const HealthReport report = FeedShardOps({even, hot, hot, even});
+  ASSERT_EQ(report.alerts.size(), 1u);
+  EXPECT_EQ(report.alerts[0].first_window, 1u);
+  EXPECT_EQ(report.alerts[0].last_window, 2u);
+  EXPECT_FALSE(report.alerts[0].open);
+}
+
+// Windows 10..19 whose certified-through watermark trails each window's
+// end by `lag` windows.
+RunSeries LaggingSeries(double lag) {
+  RunSeries series;
+  series.window_s = 1.0;
+  for (int i = 10; i < 20; ++i) {
+    SeriesWindow w;
+    w.start_s = i;
+    w.duration_s = 1.0;
+    w.committed = 50;
+    w.active_mpl = 4.0;
+    w.certified_through_s = i + 1.0 - lag;
+    series.windows.push_back(w);
+  }
+  return series;
+}
+
+TEST(HealthThresholdTest, CertificationStallEdgeIsThreeWindows) {
+  EXPECT_TRUE(AnalyzeSeries(LaggingSeries(2.9)).healthy());
+  const HealthReport report = AnalyzeSeries(LaggingSeries(3.0));
+  ASSERT_EQ(report.alerts.size(), 1u);
+  EXPECT_EQ(report.alerts[0].detector, "certification_stall");
+  EXPECT_EQ(report.alerts[0].first_window, 0u);
+  EXPECT_EQ(report.alerts[0].last_window, 9u);
+  EXPECT_TRUE(report.alerts[0].open);
+}
+
+TEST(HealthThresholdTest, BistabilityNeedsMeanMplSeven) {
+  RunSeries series = BuildBistableDemoSeries();
+  for (SeriesWindow& w : series.windows) w.active_mpl = 6.9;
+  EXPECT_EQ(CountDetector(AnalyzeSeries(series), "thrashing_bistability"), 0u);
+  for (SeriesWindow& w : series.windows) w.active_mpl = 7.0;
+  EXPECT_NE(FindDetector(AnalyzeSeries(series), "thrashing_bistability"),
+            nullptr);
+}
+
+// Ten charged windows: flat at `start`, then four 0.03 steps down. The
+// fitted slope is -1.05/82.5 per window, so the trend reaches zero in
+// (start - 0.12) * 82.5 / 1.05 windows.
+RunSeries LateDrainSeries(double start) {
+  RunSeries series;
+  series.window_s = 1.0;
+  series.node_names = {"root"};
+  for (int i = 0; i < 10; ++i) {
+    SeriesWindow w;
+    w.start_s = i;
+    w.duration_s = 1.0;
+    w.committed = 50;
+    w.active_mpl = 4.0;
+    SeriesNodeWindow node;
+    node.min_headroom_frac = start - 0.03 * std::max(0, i - 5);
+    node.limit_at_min = 1.0;
+    node.charges = 40;
+    w.nodes = {node};
+    series.windows.push_back(std::move(w));
+  }
+  return series;
+}
+
+TEST(HealthThresholdTest, HeadroomDrainFiresOnlyInsideTheHorizon) {
+  // ~20.4 windows to empty: outside the 20-window horizon.
+  EXPECT_TRUE(AnalyzeSeries(LateDrainSeries(0.38)).healthy());
+  // ~19.6 windows to empty: inside it.
+  const HealthReport report = AnalyzeSeries(LateDrainSeries(0.37));
+  ASSERT_EQ(report.alerts.size(), 1u);
+  const Alert& a = report.alerts[0];
+  EXPECT_EQ(a.detector, "headroom_exhaustion");
+  EXPECT_EQ(a.node, "root");
+  EXPECT_EQ(a.first_window, 9u);
+  double windows_to_zero = 0.0;
+  for (const auto& kv : a.evidence) {
+    if (kv.first == "windows_to_zero") windows_to_zero = kv.second;
+  }
+  EXPECT_NEAR(windows_to_zero, 0.25 * 82.5 / 1.05, 1e-6);
 }
 
 // -- Episode semantics / gauges ---------------------------------------------
 
 TEST(HealthMonitorTest, EpisodeExtendsWhileConditionPersists) {
-  const HealthReport report =
-      AnalyzeSeries(BuildLivelockDemoSeries(), QuietOptions());
+  const HealthReport report = AnalyzeSeries(BuildLivelockDemoSeries());
   ASSERT_EQ(report.alerts.size(), 1u);
   // One 14-window episode, not 10 alerts (the streak past min_windows
   // extends the same episode).
@@ -250,7 +378,7 @@ TEST(HealthMonitorTest, EpisodeExtendsWhileConditionPersists) {
 }
 
 TEST(HealthMonitorTest, GaugesTrackActiveEpisodes) {
-  HealthMonitor monitor(QuietOptions());
+  HealthMonitor monitor("", 1.0, {});
   const RunSeries demo = BuildLivelockDemoSeries();
   MetricRegistry metrics;
   // Feed through window 20 — inside the livelock episode.
@@ -267,7 +395,6 @@ TEST(HealthMonitorTest, GaugesTrackActiveEpisodes) {
   for (size_t i = 21; i < demo.windows.size(); ++i) {
     monitor.OnWindow(demo.windows[i]);
   }
-  monitor.Finish();
   monitor.ExportGauges(&metrics);
   EXPECT_EQ(metrics.FindGauge("alert.active.abort_livelock")->value(), 0.0);
   EXPECT_EQ(metrics.FindGauge("alert.count")->value(), 1.0);
@@ -276,8 +403,7 @@ TEST(HealthMonitorTest, GaugesTrackActiveEpisodes) {
 // -- Journal round-trip ------------------------------------------------------
 
 TEST(HealthJournalTest, JsonRoundTripsAlerts) {
-  const HealthReport report =
-      AnalyzeSeries(BuildLivelockDemoSeries(), QuietOptions());
+  const HealthReport report = AnalyzeSeries(BuildLivelockDemoSeries());
   std::ostringstream out;
   WriteHealthJson(report, out);
   std::istringstream in(out.str());
@@ -304,10 +430,8 @@ TEST(HealthJournalTest, RejectsMalformedJournal) {
 }
 
 TEST(HealthJournalTest, JsonIsDeterministic) {
-  const HealthReport a =
-      AnalyzeSeries(BuildBistableDemoSeries(), QuietOptions());
-  const HealthReport b =
-      AnalyzeSeries(BuildBistableDemoSeries(), QuietOptions());
+  const HealthReport a = AnalyzeSeries(BuildBistableDemoSeries());
+  const HealthReport b = AnalyzeSeries(BuildBistableDemoSeries());
   std::ostringstream oa, ob;
   WriteHealthJson(a, oa);
   WriteHealthJson(b, ob);

@@ -189,9 +189,9 @@ TEST(PrometheusTextTest, PromotesAlertGaugesToDetectorLabels) {
       << text;
 }
 
-TEST(PrometheusTextTest, DottedShardNamesStayCanonicalInJsonAndCsv) {
-  // The label promotion is a text-exposition concern only: the JSON and
-  // CSV exporters (and FindGauge lookups) keep the dotted spellings, so
+TEST(PrometheusTextTest, DottedShardNamesStayCanonicalInJson) {
+  // The label promotion is a text-exposition concern only: the JSON
+  // exporter (and FindGauge lookups) keep the dotted spellings, so
   // recorded artifacts stay byte-compatible across the change.
   MetricRegistry reg;
   reg.gauge("engine.shard3.ops").Set(42.0);
@@ -204,14 +204,6 @@ TEST(PrometheusTextTest, DottedShardNamesStayCanonicalInJsonAndCsv) {
   EXPECT_NE(json.str().find("\"alert.active.abort_livelock\""),
             std::string::npos)
       << json.str();
-
-  std::ostringstream csv;
-  WriteMetricsCsv(reg, csv);
-  EXPECT_NE(csv.str().find("engine.shard3.ops"), std::string::npos)
-      << csv.str();
-  EXPECT_NE(csv.str().find("alert.active.abort_livelock"),
-            std::string::npos)
-      << csv.str();
 }
 
 // Blocking one-shot HTTP GET against 127.0.0.1:port; empty on failure.

@@ -3,8 +3,8 @@
 // of an exported capture of the demo-violation history must end in an
 // error status or a verdict (never a crash, a hang or undefined behaviour
 // under the sanitizers). Integer fields that do not fit their type are
-// errors naming the field, and timestamps at the edge of int64_t hunt
-// without overflowing.
+// errors naming the field, and timestamps at the edge of int64_t audit and
+// hunt without overflowing.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +191,50 @@ TEST(TraceReaderRangeTest, OutOfRangeOtherDataIsRejected) {
       &metadata);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("\"dropped\""), std::string::npos);
+}
+
+TEST(TraceReaderRangeTest, SpansAcrossTheInt64RangeAuditWithoutOverflow) {
+  // One committed transaction whose txn, rpc and op spans, and the wait
+  // before its retry, run from -9e18 to +9e18 us: both ends fit int64_t,
+  // their difference does not, so span lengths and the critical-path sums
+  // built from them must saturate.
+  constexpr int64_t kFar = 9'000'000'000'000'000'000;
+  std::vector<TraceEvent> events;
+  auto at = [&events](int64_t ts, TraceEvent e) {
+    e.ts_micros = ts;
+    events.push_back(e);
+  };
+  at(-kFar, TraceEvent::BeginTxn(1, TxnType::kUpdate, 1));
+  at(-kFar, TraceEvent::SpanBeginEvent(SpanKind::kTxn, 10, 0, 1, 1, 0));
+  at(-kFar, TraceEvent::SpanBeginEvent(SpanKind::kRpc, 11, 10, 1, 1, 0));
+  at(-kFar, TraceEvent::SpanBeginEvent(SpanKind::kOp, 12, 11, 1, 1, 7));
+  at(-kFar, TraceEvent::WaitOn(1, 1, 7, /*writer=*/2));
+  at(kFar, TraceEvent::SpanEndEvent(SpanKind::kOp, 12, 1, 1));
+  at(kFar, TraceEvent::SpanEndEvent(SpanKind::kRpc, 11, 1, 1));
+  at(kFar, TraceEvent::SpanBeginEvent(SpanKind::kRpc, 13, 10, 1, 1, 0));
+  at(kFar, TraceEvent::SpanEndEvent(SpanKind::kRpc, 13, 1, 1));
+  at(kFar, TraceEvent::CommitTxn(1, 1));
+  at(kFar, TraceEvent::SpanEndEvent(SpanKind::kTxn, 10, 1, 1));
+  std::ostringstream out;
+  WriteChromeTraceEvents(events, out, events.size(), /*dropped=*/0,
+                         /*capacity=*/1024);
+  const std::string json = out.str();
+  ASSERT_NE(json.find("\"ts\":-9000000000000000000"), std::string::npos);
+  ASSERT_NE(json.find("\"ts\":9000000000000000000"), std::string::npos);
+
+  std::vector<TraceEvent> read;
+  ASSERT_TRUE(ReadChromeTrace(json, &read).ok());
+  const AuditReport report = AuditTrace(read);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  ASSERT_EQ(report.breakdowns.size(), 1u);
+  const TxnBreakdown& b = report.breakdowns[0];
+  EXPECT_EQ(b.total_micros, kMax);
+  EXPECT_EQ(b.service_micros, kMax);
+  EXPECT_EQ(b.conflict_wait_micros, kMax);
+  EXPECT_EQ(b.other_micros, 0);
+  ASSERT_EQ(report.blockers.size(), 1u);
+  EXPECT_EQ(report.blockers[0].total_wait_micros, kMax);
+  EXPECT_TRUE(AuditsToAnEnd(json));
 }
 
 TEST(TraceReaderRangeTest, TimestampsNearInt64MaxHuntWithoutOverflow) {
