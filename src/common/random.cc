@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
@@ -22,40 +20,8 @@ void Rng::Seed(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<int64_t>(NextU64());  // full range
-  // Rejection-free modulo is fine here: range << 2^64 for all our uses,
-  // so the bias is negligible for simulation purposes.
-  return lo + static_cast<int64_t>(NextU64() % range);
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 double Rng::Exponential(double mean) {

@@ -169,8 +169,12 @@ void ShardedEngine::ExecuteBatch(OpBatch& batch) {
     ESR_CHECK(t != nullptr)
         << "batched operation on unknown/finished transaction " << req.txn;
     batch.txns.push_back(t);
-    batch.by_shard[map_.ShardOf(req.object)].push_back(
-        static_cast<uint32_t>(i));
+    const size_t s = map_.ShardOf(req.object);
+    batch.by_shard[s].push_back(static_cast<uint32_t>(i));
+    // Every address is known before any latch is taken: start each
+    // record's cache misses now, so the latched loop below finds them in
+    // flight instead of stalling on one miss per op.
+    shards_[s]->store().Prefetch(map_.LocalId(req.object));
   }
   for (size_t s = 0; s < n; ++s) {
     const std::vector<uint32_t>& idx = batch.by_shard[s];

@@ -125,10 +125,13 @@ class ShardedEngine final : public TransactionEngine {
                               const BoundSpec& import_bounds);
 
   // -- Batched submission --------------------------------------------------
-  /// Executes every op in `batch.reqs`, filling `batch.results`. Ops are
-  /// grouped by shard so each shard latch is taken once per batch. At
-  /// most one op per transaction per batch; `batch` must not be shared
-  /// between threads concurrently.
+  /// Executes every op in `batch.reqs`, filling `batch.results`. The
+  /// batch exists for two reasons: ops are grouped by shard so each shard
+  /// latch is taken once per batch, and every op's object record is
+  /// prefetched while grouping, so the records' cache misses overlap
+  /// instead of stalling the latched loop one op at a time. At most one
+  /// op per transaction per batch; `batch` must not be shared between
+  /// threads concurrently.
   void ExecuteBatch(OpBatch& batch);
 
   // -- Engine-wide epsilon budget ------------------------------------------

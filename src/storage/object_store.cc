@@ -1,6 +1,7 @@
 #include "storage/object_store.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -43,6 +44,15 @@ ObjectRecord& ObjectStore::Get(ObjectId id) {
 const ObjectRecord& ObjectStore::Get(ObjectId id) const {
   ESR_CHECK(Contains(id)) << "object " << id << " out of range";
   return objects_[id];
+}
+
+void ObjectStore::Prefetch(ObjectId id) const {
+  constexpr uintptr_t kLine = 64;  // x86-64 and most AArch64 cores
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(&Get(id));
+  const uintptr_t end = begin + sizeof(ObjectRecord);
+  for (uintptr_t line = begin & ~(kLine - 1); line < end; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
 }
 
 Result<Value> ObjectStore::ReadValue(ObjectId id) const {

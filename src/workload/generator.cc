@@ -1,6 +1,7 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -17,6 +18,9 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec& spec, uint64_t seed)
     query_bounds_ = BoundSpec::TransactionOnly(spec_.til);
     update_bounds_ = BoundSpec::TransactionOnly(spec_.tel);
   }
+  const size_t largest_script = static_cast<size_t>(
+      std::max(spec_.query_ops_max, spec_.update_ops_max));
+  drawn_.assign(std::bit_ceil(2 * largest_script), kInvalidObjectId);
 }
 
 void WorkloadGenerator::Next(TxnScript* out) {
@@ -78,20 +82,33 @@ std::vector<TxnScript> WorkloadGenerator::MakeLoad(size_t n) {
 void WorkloadGenerator::SampleObjects(size_t n, double hot_prob,
                                       ScriptOp::Kind kind,
                                       std::vector<ScriptOp>* ops) {
-  ESR_CHECK(n <= spec_.num_objects);
+  ESR_CHECK(n <= spec_.num_objects && 2 * n <= drawn_.size());
+  std::fill(drawn_.begin(), drawn_.end(), kInvalidObjectId);
   const size_t begin = ops->size();
   while (ops->size() - begin < n) {
     const ObjectId candidate = SampleOneObject(hot_prob);
-    const auto first = ops->begin() + static_cast<std::ptrdiff_t>(begin);
-    if (std::none_of(first, ops->end(), [candidate](const ScriptOp& op) {
-          return op.object == candidate;
-        })) {
+    if (InsertDrawn(candidate)) {
       ScriptOp op;
       op.kind = kind;
       op.object = candidate;
       ops->push_back(op);
     }
   }
+}
+
+bool WorkloadGenerator::InsertDrawn(ObjectId object) {
+  const size_t mask = drawn_.size() - 1;
+  // An odd multiplier permutes the low bits, so the hot set's consecutive
+  // ids scatter instead of filling one run of slots.
+  size_t i = (object * 0x9e3779b9u) & mask;
+  while (drawn_[i] != object) {
+    if (drawn_[i] == kInvalidObjectId) {
+      drawn_[i] = object;
+      return true;
+    }
+    i = (i + 1) & mask;
+  }
+  return false;
 }
 
 ObjectId WorkloadGenerator::SampleOneObject(double hot_prob) {

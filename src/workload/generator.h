@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/types.h"
 #include "workload/spec.h"
 
 namespace esr {
@@ -51,10 +52,11 @@ class WorkloadGenerator {
   /// Appends `n` ops of `kind` on distinct objects drawn with the
   /// hot-set access skew (one read per object per transaction,
   /// Sec. 3.2.1). Distinctness holds among the ops this call appends;
-  /// a rejected draw is a repeat of one of them, found by a linear scan
-  /// (n <= 24 for every spec here, cheaper than hashing).
+  /// a rejected draw is a repeat of one of them, found in `drawn_`.
   void SampleObjects(size_t n, double hot_prob, ScriptOp::Kind kind,
                      std::vector<ScriptOp>* ops);
+  /// Adds `object` to `drawn_`; false if it is already there.
+  bool InsertDrawn(ObjectId object);
   ObjectId SampleOneObject(double hot_prob);
   void AssignBounds(TxnType type, BoundSpec* out);
 
@@ -64,6 +66,12 @@ class WorkloadGenerator {
   /// AssignFrom copies them into a reused script without allocating.
   BoundSpec query_bounds_;
   BoundSpec update_bounds_;
+  /// The objects one SampleObjects call has drawn: an open-addressed
+  /// set (kInvalidObjectId = empty) of a power-of-two size at least
+  /// twice the spec's largest script. It is sized by the script, not by
+  /// num_objects, because some callers build one generator per
+  /// transaction over a million objects.
+  std::vector<ObjectId> drawn_;
 };
 
 /// Applies a write delta while keeping the value inside

@@ -10,6 +10,19 @@ namespace {
 
 WorkloadSpec DefaultSpec() { return WorkloadSpec{}; }
 
+// Scripts that cover most of a small store and outgrow the default
+// 24-op maximum: distinct draws are rejected often and the drawn-object
+// set needs more slots than the default spec's.
+WorkloadSpec CrowdedSpec() {
+  WorkloadSpec spec;
+  spec.num_objects = 64;
+  spec.hot_set_size = 8;
+  spec.query_ops_min = 30;
+  spec.query_ops_max = 40;
+  spec.query_hot_prob = 0.5;
+  return spec;
+}
+
 TEST(GeneratorTest, DeterministicGivenSeed) {
   WorkloadGenerator a(DefaultSpec(), 42), b(DefaultSpec(), 42);
   for (int i = 0; i < 50; ++i) {
@@ -77,13 +90,16 @@ TEST(GeneratorTest, WritesDeriveFromEarlierReads) {
 TEST(GeneratorTest, ObjectsWithinTransactionAreDistinct) {
   // One read per object per transaction (Sec. 3.2.1); the generator also
   // keeps write targets distinct from each other.
-  WorkloadGenerator gen(DefaultSpec(), 5);
-  for (int i = 0; i < 50; ++i) {
-    const TxnScript s = gen.NextQuery();
-    std::set<ObjectId> seen;
-    for (const ScriptOp& op : s.ops) {
-      EXPECT_TRUE(seen.insert(op.object).second)
-          << "duplicate object " << op.object;
+  for (const WorkloadSpec& spec : {DefaultSpec(), CrowdedSpec()}) {
+    WorkloadGenerator gen(spec, 5);
+    for (int i = 0; i < 50; ++i) {
+      const TxnScript s = gen.NextQuery();
+      std::set<ObjectId> seen;
+      for (const ScriptOp& op : s.ops) {
+        EXPECT_LT(op.object, spec.num_objects);
+        EXPECT_TRUE(seen.insert(op.object).second)
+            << "duplicate object " << op.object;
+      }
     }
   }
 }
@@ -219,12 +235,14 @@ WorkloadSpec TwoLevelSpec() {
 
 // The generated load is the simulator's input, so the stream is pinned
 // draw for draw: any change to the sampling order moves every figure.
-// The constants were recorded from the hash-set sampler that the
-// in-place path replaced.
+// The first three constants were recorded from the hash-set sampler that
+// the in-place path replaced, the crowded one from the linear-scan
+// sampler that the drawn-object set replaced.
 TEST(GeneratorTest, StreamMatchesGoldenDigest) {
   EXPECT_EQ(StreamDigest(DefaultSpec(), 2026), 0x1277526bb2f876f2ull);
   EXPECT_EQ(StreamDigest(ImportingUpdatesSpec(), 77), 0x6cee895331af08f0ull);
   EXPECT_EQ(StreamDigest(TwoLevelSpec(), 5), 0xc2b29a02bca6a04aull);
+  EXPECT_EQ(StreamDigest(CrowdedSpec(), 31), 0x21b4a5efe672ee81ull);
 }
 
 void ExpectSameScript(const TxnScript& a, const TxnScript& b) {

@@ -40,7 +40,6 @@ namespace {
 int EmitReport(const esr::HealthReport& report, bool json) {
   if (json) {
     esr::WriteHealthJson(report, std::cout);
-    std::cout << "\n";
   } else {
     esr::WriteHealthText(report, std::cout);
   }
