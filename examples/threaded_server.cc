@@ -182,7 +182,7 @@ ClientResult RunClient(esr::Server* server, esr::SiteId site,
         // phase, so attribution accounts for (nearly) every microsecond
         // between Begin and commit.
         {
-          esr::ScopedPhaseTimer rpc_phase(esr::ProfilePhase::kRpc);
+          esr::Probe rpc_phase(esr::ProfilePhase::kRpc);
           std::this_thread::sleep_for(std::chrono::microseconds(150));
         }
         esr::OpResult r;
@@ -191,8 +191,8 @@ ClientResult RunClient(esr::Server* server, esr::SiteId site,
             // One RPC span per attempt: the engine's op span (and bound
             // walk) nest inside it, and the gap to the next attempt is
             // the wait backoff the auditor attributes to conflicts.
-            esr::TraceSpan rpc(esr::SpanKind::kRpc, txn, site, op.object,
-                               txn_span);
+            esr::Probe rpc(esr::SpanKind::kRpc, txn, site, op.object,
+                           txn_span);
             if (op.kind == esr::ScriptOp::Kind::kRead) {
               r = server->Read(txn, op.object);
             } else {
@@ -207,7 +207,7 @@ ClientResult RunClient(esr::Server* server, esr::SiteId site,
           {
             // Lock-wait phase plus blocked-by attribution: the engine
             // told us which uncommitted writer blocks this op.
-            esr::ScopedPhaseTimer wait_phase(esr::ProfilePhase::kLockWait);
+            esr::Probe wait_phase(esr::ProfilePhase::kLockWait);
             esr::ScopedSiteWait site_wait(op_wait_site, r.blocker);
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
@@ -226,7 +226,7 @@ ClientResult RunClient(esr::Server* server, esr::SiteId site,
       if (aborted) continue;  // immediate restart with a new timestamp
       bool commit_ok;
       {
-        esr::TraceSpan rpc(esr::SpanKind::kRpc, txn, site, 0, txn_span);
+        esr::Probe rpc(esr::SpanKind::kRpc, txn, site, 0, txn_span);
         commit_ok = server->Commit(txn).ok();
       }
       if (commit_ok) {

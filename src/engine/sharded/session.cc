@@ -218,7 +218,7 @@ SessionPoolResult RunSessionWorkers(Server* server, const WorkloadSpec& spec,
           // blocking writer's worker immediately. The yield is charged
           // to the shared backoff site as kLockWait so stalled-pool
           // rounds surface in the wall-clock attribution.
-          ScopedPhaseTimer wait_phase(ProfilePhase::kLockWait);
+          Probe wait_phase(ProfilePhase::kLockWait);
           ScopedSiteWait wait(backoff_site, kInvalidTxnId);
           std::this_thread::yield();
           continue;
@@ -260,7 +260,7 @@ SessionPoolResult RunSessionWorkers(Server* server, const WorkloadSpec& spec,
         if (!progressed) {
           // Every submitted op waited: cede the core so the blocking
           // writers' workers can run and commit.
-          ScopedPhaseTimer wait_phase(ProfilePhase::kLockWait);
+          Probe wait_phase(ProfilePhase::kLockWait);
           ScopedSiteWait wait(backoff_site, kInvalidTxnId);
           std::this_thread::yield();
         }

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "common/logging.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 
 namespace esr {
 namespace {
@@ -103,7 +103,7 @@ TxnId ShardedEngine::BeginUpdateWithImport(Timestamp ts,
 TxnId ShardedEngine::BeginWith(TxnType type, Timestamp ts,
                                const BoundSpec& bounds,
                                const BoundSpec* import_bounds) {
-  ScopedPhaseTimer phase(ProfilePhase::kValidate);
+  Probe probe(ProfilePhase::kValidate);
   const TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   TxnStripe& stripe = StripeFor(id);
   Transaction* txn;
@@ -141,14 +141,18 @@ OpResult ShardedEngine::Write(TxnId txn, ObjectId object, Value value) {
 }
 
 OpResult ShardedEngine::Execute(const OpRequest& req) {
-  ScopedPhaseTimer phase(ProfilePhase::kValidate);
-  Transaction* t = FindLive(req.txn);
-  ESR_CHECK(t != nullptr)
-      << "operation on unknown/finished transaction " << req.txn;
-  Shard& shard = ShardForObject(req.object);
+  Transaction* t;
   OpResult r;
   {
+    // The phase covers the latch wait; the op span opens under the latch.
+    Probe probe(ProfilePhase::kValidate);
+    t = FindLive(req.txn);
+    ESR_CHECK(t != nullptr)
+        << "operation on unknown/finished transaction " << req.txn;
+    Shard& shard = ShardForObject(req.object);
     std::lock_guard<ProfiledMutex> lock(shard.latch());
+    probe.OpenSpan(SpanKind::kOp, req.txn, t->ts().site, req.object,
+                   t->trace_span());
     r = ExecuteLatched(*t, req, shard);
   }
   if (r.kind == OpResult::Kind::kAbort) TeardownAbort(t, r.abort_reason);
@@ -156,7 +160,7 @@ OpResult ShardedEngine::Execute(const OpRequest& req) {
 }
 
 void ShardedEngine::ExecuteBatch(OpBatch& batch) {
-  ScopedPhaseTimer phase(ProfilePhase::kValidate);
+  Probe probe(ProfilePhase::kValidate);
   const size_t n = shards_.size();
   if (batch.by_shard.size() < n) batch.by_shard.resize(n);
   for (auto& idx : batch.by_shard) idx.clear();
@@ -182,7 +186,11 @@ void ShardedEngine::ExecuteBatch(OpBatch& batch) {
     Shard& shard = *shards_[s];
     std::lock_guard<ProfiledMutex> lock(shard.latch());
     for (const uint32_t i : idx) {
-      batch.results[i] = ExecuteLatched(*batch.txns[i], batch.reqs[i], shard);
+      const OpRequest& req = batch.reqs[i];
+      Transaction& txn = *batch.txns[i];
+      Probe op(SpanKind::kOp, req.txn, txn.ts().site, req.object,
+               txn.trace_span());
+      batch.results[i] = ExecuteLatched(txn, req, shard);
     }
   }
   // Teardown outside every shard latch: abort restore touches the
@@ -198,8 +206,6 @@ void ShardedEngine::ExecuteBatch(OpBatch& batch) {
 OpResult ShardedEngine::ExecuteLatched(Transaction& txn, const OpRequest& req,
                                        Shard& shard) {
   shard.latch().set_holder(req.txn);
-  TraceSpan op_span(SpanKind::kOp, req.txn, txn.ts().site, req.object,
-                    txn.trace_span());
   ObjectRecord& obj = shard.store().Get(map_.LocalId(req.object));
   const OpKernel kernel(
       &shard.data(), &counters_, &shard.bound_stats(),
@@ -215,15 +221,16 @@ OpResult ShardedEngine::ExecuteLatched(Transaction& txn, const OpRequest& req,
 }
 
 Status ShardedEngine::Commit(TxnId txn) {
-  ScopedPhaseTimer phase(ProfilePhase::kCommit);
+  Probe probe(ProfilePhase::kCommit);
   Transaction* t = FindLive(txn);
   if (t == nullptr) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
   }
+  probe.OpenSpan(SpanKind::kCommit, txn, t->ts().site, 0, t->trace_span());
   {
     // Installing the writes is store mutation, not commit bookkeeping.
-    ScopedPhaseTimer apply_phase(ProfilePhase::kApply);
+    Probe apply(ProfilePhase::kApply);
     ReleaseFootprint(t, /*commit=*/true);
   }
   commit_batches_total_.fetch_add(1, std::memory_order_relaxed);
@@ -277,24 +284,19 @@ void ShardedEngine::ReleaseFootprint(Transaction* txn, bool commit) {
 }
 
 void ShardedEngine::FinishCommit(Transaction* txn) {
-  {
-    TraceSpan commit_span(SpanKind::kCommit, txn->id(), txn->ts().site, 0,
-                          txn->trace_span());
-    counters_.RecordFinish(*txn, AbortReason::kNone);
-  }
+  counters_.RecordFinish(*txn, AbortReason::kNone);
   UnchargeShared(*txn);
   ReleaseTxn(txn);
 }
 
 Status ShardedEngine::Abort(TxnId txn) {
-  ScopedPhaseTimer phase(ProfilePhase::kCommit);
+  Probe probe(ProfilePhase::kCommit);
   Transaction* t = FindLive(txn);
   if (t == nullptr) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
   }
-  TraceSpan commit_span(SpanKind::kCommit, txn, t->ts().site, 0,
-                        t->trace_span());
+  probe.OpenSpan(SpanKind::kCommit, txn, t->ts().site, 0, t->trace_span());
   TeardownAbort(t, AbortReason::kUserRequested);
   return Status::OK();
 }
@@ -303,7 +305,7 @@ void ShardedEngine::TeardownAbort(Transaction* txn, AbortReason reason) {
   // Abort teardown is commit-path work whichever op triggered it; the
   // nested scope keeps shadow recovery out of kValidate self-time when
   // a mid-operation abort lands here.
-  ScopedPhaseTimer phase(ProfilePhase::kCommit);
+  Probe probe(ProfilePhase::kCommit);
   ReleaseFootprint(txn, /*commit=*/false);
   counters_.RecordFinish(*txn, reason);
   UnchargeShared(*txn);

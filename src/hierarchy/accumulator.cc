@@ -1,7 +1,6 @@
 #include "hierarchy/accumulator.h"
 
 #include <string>
-#include <type_traits>
 
 #include "common/logging.h"
 #include "obs/profile.h"
@@ -113,17 +112,18 @@ ChargeResult InconsistencyAccumulator::TryChargeImpl(ObjectId object,
                                                      BoundCheckStats* stats,
                                                      TxnId txn, SiteId site) {
   ESR_CHECK(d >= 0.0) << "negative inconsistency";
-  // The walk gets its own causal span so every BoundCheck instant below
-  // attaches to it and Perfetto shows the walk's cost inside the op.
-  struct NoopSpan {
-    NoopSpan(SpanKind, TxnId, SiteId, uint64_t) {}
-  };
-  using WalkSpan = std::conditional_t<kTraced, TraceSpan, NoopSpan>;
-  WalkSpan walk_span(SpanKind::kBoundWalk, txn, site, object);
-  // Wall-clock attribution of the walk (threaded_server only). Like the
-  // headroom probe below, the disabled cost is one relaxed load and a
-  // predicted branch; ESR_TRACE_DISABLED compiles it out entirely.
-  ScopedPhaseTimer walk_phase(ProfilePhase::kBoundWalk);
+  // One probe times the walk (the kBoundWalk phase, whenever the
+  // profiler is on: the threaded server, perfbench's traced pass) and,
+  // under capture, gives it its own causal span, so every BoundCheck
+  // instant below attaches to it and Perfetto shows the walk's cost
+  // inside the op. Capture implies the traced instantiation, so the
+  // untraced one never tests for the span. Closed, the probe costs one
+  // relaxed load and a predicted branch; ESR_TRACE_DISABLED compiles it
+  // out entirely.
+  Probe walk(ProfilePhase::kBoundWalk);
+  if constexpr (kTraced) {
+    walk.OpenSpan(SpanKind::kBoundWalk, txn, site, object);
+  }
   // Depth of the object's group below the root, for per-level
   // attribution; skipped entirely on the unobserved fast path.
   size_t leaf_depth = 0;

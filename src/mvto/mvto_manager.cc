@@ -3,7 +3,7 @@
 #include <string>
 
 #include "common/logging.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 
 namespace esr {
 
@@ -31,7 +31,7 @@ TxnId MvtoManager::Begin(TxnType type, Timestamp ts,
 OpResult MvtoManager::Read(TxnId txn, ObjectId object) {
   std::lock_guard<std::mutex> lock(mu_);
   Transaction& t = GetActive(txn);
-  TraceSpan op_span(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
+  Probe op(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
   VersionChain& chain = store_.Get(object);
   const VersionChain::ReadResult r = chain.Read(t.ts(), t.id());
   switch (r.status) {
@@ -57,7 +57,7 @@ OpResult MvtoManager::Write(TxnId txn, ObjectId object, Value value) {
   Transaction& t = GetActive(txn);
   ESR_CHECK(t.type() == TxnType::kUpdate)
       << "query ETs are read-only; Write from txn " << t.id();
-  TraceSpan op_span(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
+  Probe op(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
   VersionChain& chain = store_.Get(object);
   const VersionChain::WriteResult r = chain.Write(t.ts(), t.id(), value);
   switch (r.status) {
@@ -95,8 +95,7 @@ Status MvtoManager::Finish(TxnId txn, AbortReason reason) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
   }
-  TraceSpan commit_span(SpanKind::kCommit, txn, t->ts().site, 0,
-                        t->trace_span());
+  Probe commit(SpanKind::kCommit, txn, t->ts().site, 0, t->trace_span());
   Teardown(*t, reason);
   return Status::OK();
 }

@@ -514,6 +514,14 @@ struct ShardImbalance {
   EpisodeTracker episode{kName};
 };
 
+// Casting a negative, fractional or out-of-range double to an integer
+// type is undefined, so a journal's integers are checked before the cast.
+bool WholeIn(double v, double lo, double hi) {
+  return v >= lo && v <= hi && v == std::floor(v);
+}
+// 2^53: every whole number up to it is exact in a double.
+constexpr double kMaxJournalWindow = 0x1p53;
+
 }  // namespace
 
 // -- Alert / monitor --------------------------------------------------------
@@ -662,7 +670,11 @@ Result<HealthReport> ReadHealthJson(std::istream& in) {
   HealthReport report;
   if (const JsonValue* v = health->Find("source")) report.source = v->string;
   report.window_s = health->NumberOr("window_s", 1.0);
-  report.windows = static_cast<size_t>(health->NumberOr("windows", 0.0));
+  const double windows = health->NumberOr("windows", 0.0);
+  if (!WholeIn(windows, 0.0, kMaxJournalWindow)) {
+    return Status::InvalidArgument("health journal \"windows\" is not a count");
+  }
+  report.windows = static_cast<size_t>(windows);
   const JsonValue* alerts = health->Find("alerts");
   if (alerts == nullptr || !alerts->is_array()) {
     return Status::InvalidArgument("health journal missing \"alerts\" array");
@@ -677,12 +689,21 @@ Result<HealthReport> ReadHealthJson(std::istream& in) {
       a.severity = v->string == "error" ? AlertSeverity::kError
                                         : AlertSeverity::kWarn;
     }
-    a.first_window = static_cast<size_t>(entry.NumberOr("first_window", 0.0));
-    a.last_window = static_cast<size_t>(entry.NumberOr("last_window", 0.0));
+    const double first_window = entry.NumberOr("first_window", 0.0);
+    const double last_window = entry.NumberOr("last_window", 0.0);
+    const double shard = entry.NumberOr("shard", -1.0);
+    if (!WholeIn(first_window, 0.0, kMaxJournalWindow) ||
+        !WholeIn(last_window, 0.0, kMaxJournalWindow) ||
+        !WholeIn(shard, -1.0, 2147483647.0)) {
+      return Status::InvalidArgument(
+          "health journal alert window or shard is out of range");
+    }
+    a.first_window = static_cast<size_t>(first_window);
+    a.last_window = static_cast<size_t>(last_window);
     a.start_s = entry.NumberOr("start_s", 0.0);
     a.end_s = entry.NumberOr("end_s", 0.0);
     if (const JsonValue* v = entry.Find("node")) a.node = v->string;
-    a.shard = static_cast<int>(entry.NumberOr("shard", -1.0));
+    a.shard = static_cast<int>(shard);
     if (const JsonValue* v = entry.Find("open")) a.open = v->bool_value;
     if (const JsonValue* v = entry.Find("message")) a.message = v->string;
     if (const JsonValue* ev = entry.Find("evidence")) {

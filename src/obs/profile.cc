@@ -5,11 +5,9 @@
 #include <fstream>
 #include <iomanip>
 
-namespace esr {
+#include "common/logging.h"
 
-namespace internal {
-std::atomic<bool> g_global_profiler_enabled{false};
-}  // namespace internal
+namespace esr {
 
 const char* ProfilePhaseToString(ProfilePhase phase) {
   switch (phase) {
@@ -139,11 +137,7 @@ uint64_t ProfileSnapshot::TotalSelfNs() const {
 }
 
 void Profiler::set_enabled(bool enabled) {
-  enabled_.store(enabled, std::memory_order_relaxed);
-  if (this == &GlobalProfiler()) {
-    internal::g_global_profiler_enabled.store(enabled,
-                                              std::memory_order_relaxed);
-  }
+  if (this == &GlobalProfiler()) GlobalTrace().set_profiling(enabled);
 }
 
 ContentionSite* Profiler::site(const std::string& name) {
@@ -155,25 +149,12 @@ ContentionSite* Profiler::site(const std::string& name) {
   return sites_.back().get();
 }
 
-internal::PhaseThreadStats* Profiler::ThreadStats() {
-  // One slot per (profiler, thread): the thread-local cache maps this
-  // profiler to the slot it registered, so tests with local Profilers
-  // don't cross-pollinate the global one.
-  struct Cached {
-    Profiler* owner = nullptr;
-    internal::PhaseThreadStats* stats = nullptr;
-  };
-  thread_local Cached cached;
-  if (cached.owner == this) return cached.stats;
+internal::PhaseThreadStats* Profiler::RegisterThread() {
   auto slot = std::make_unique<internal::PhaseThreadStats>();
   slot->lane = ThreadLaneId();
-  internal::PhaseThreadStats* raw = slot.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads_.push_back(std::move(slot));
-  }
-  cached = Cached{this, raw};
-  return raw;
+  std::lock_guard<std::mutex> lock(mu_);
+  threads_.push_back(std::move(slot));
+  return threads_.back().get();
 }
 
 ProfileSnapshot Profiler::Snapshot() const {
@@ -289,72 +270,116 @@ Profiler& GlobalProfiler() {
   return *profiler;
 }
 
-// -- ScopedPhaseTimer --------------------------------------------------------
+// -- The probe stack ---------------------------------------------------------
 
-#ifndef ESR_TRACE_DISABLED
-namespace internal {
 namespace {
 
-struct PhaseFrame {
-  ProfilePhase phase;
-  int64_t scope_start_ns;
+constexpr uint8_t kNoPhase = kNumProfilePhases;
+
+// One frame per open Probe or ScopedSpanParent on this thread. `span` and
+// `phase` are the innermost open ones at this depth, inherited when the
+// frame has none of its own.
+struct ProbeFrame {
+  uint64_t span;
+  int64_t phase_start_ns;
+  uint8_t phase;  // kNoPhase when none is open
+  bool owns_phase;
 };
 
-// Per-thread stack of open phase scopes. `seg_start_ns` marks where the
-// current self-time segment began (the top frame owns the time since
-// then); opening or closing a frame settles the segment into the frame
-// that owned it and starts a new one.
-struct PhaseStack {
-  PhaseThreadStats* stats = nullptr;
-  PhaseFrame frames[16];
-  int depth = 0;
-  int64_t seg_start_ns = 0;
+// The innermost open phase owns the time since `seg_start_ns`; opening or
+// closing a phase settles that segment into it (the self-time rule).
+struct ProbeStack {
+  ProbeFrame frames[kMaxProbeDepth];
+  int depth;
+  int64_t seg_start_ns;
+  internal::PhaseThreadStats* stats;
 };
 
-thread_local PhaseStack t_phase_stack;
+thread_local ProbeStack t_probe_stack;
+
+void Settle(ProbeStack& stack, uint8_t phase, int64_t now) {
+  stack.stats->self_ns[phase].fetch_add(
+      static_cast<uint64_t>(now - stack.seg_start_ns),
+      std::memory_order_relaxed);
+  stack.seg_start_ns = now;
+}
+
+// Pushes a frame for `span` (0: the enclosing one) in the enclosing phase.
+ProbeFrame& PushFrame(uint64_t span) {
+  ProbeStack& stack = t_probe_stack;
+  ESR_CHECK(stack.depth < kMaxProbeDepth)
+      << "probe stack overflow: more than " << kMaxProbeDepth
+      << " nested probes on one thread";
+  ProbeFrame& frame = stack.frames[stack.depth];
+  const ProbeFrame* outer =
+      stack.depth > 0 ? &stack.frames[stack.depth - 1] : nullptr;
+  frame.span = span != 0 ? span : (outer != nullptr ? outer->span : 0);
+  frame.phase = outer != nullptr ? outer->phase : kNoPhase;
+  frame.owns_phase = false;
+  ++stack.depth;
+  return frame;
+}
+
+void PopFrame() {
+  ProbeStack& stack = t_probe_stack;
+  ESR_CHECK(stack.depth > 0) << "probe stack underflow";
+  const ProbeFrame& frame = stack.frames[--stack.depth];
+  if (!frame.owns_phase) return;
+  const int64_t now = ProfileNowNs();
+  Settle(stack, frame.phase, now);
+  stack.stats->count[frame.phase].fetch_add(1, std::memory_order_relaxed);
+  stack.stats->scope_ms[frame.phase].Record(
+      static_cast<double>(now - frame.phase_start_ns) / 1e6);
+}
 
 }  // namespace
 
-void OpenPhaseSlow(ProfilePhase phase) {
-  PhaseStack& stack = t_phase_stack;
-  if (stack.stats == nullptr) {
-    stack.stats = GlobalProfiler().ThreadStats();
-  }
-  const int64_t now = ProfileNowNs();
-  if (stack.depth > 0 &&
-      stack.depth <= static_cast<int>(std::size(stack.frames))) {
-    // Settle the running segment into the parent's self time.
-    const PhaseFrame& parent = stack.frames[stack.depth - 1];
-    stack.stats->self_ns[static_cast<size_t>(parent.phase)].fetch_add(
-        static_cast<uint64_t>(now - stack.seg_start_ns),
-        std::memory_order_relaxed);
-  }
-  if (stack.depth < static_cast<int>(std::size(stack.frames))) {
-    stack.frames[stack.depth] = PhaseFrame{phase, now};
-  }
-  ++stack.depth;  // Overflow frames still count for balanced Close.
-  stack.seg_start_ns = now;
+uint64_t CurrentSpan() {
+  const ProbeStack& stack = t_probe_stack;
+  return stack.depth > 0 ? stack.frames[stack.depth - 1].span : 0;
 }
 
-void ClosePhaseSlow() {
-  PhaseStack& stack = t_phase_stack;
-  if (stack.depth <= 0) return;
+void ScopedSpanParent::Push(uint64_t span) { PushFrame(span); }
+
+void ScopedSpanParent::Pop() { PopFrame(); }
+
+#ifndef ESR_TRACE_DISABLED
+
+void Probe::OpenPhase(ProfilePhase phase) {
+  ProbeStack& stack = t_probe_stack;
+  if (stack.stats == nullptr) stack.stats = GlobalProfiler().RegisterThread();
+  ProbeFrame& frame = PushFrame(0);
   const int64_t now = ProfileNowNs();
-  --stack.depth;
-  if (stack.depth < static_cast<int>(std::size(stack.frames))) {
-    const PhaseFrame& frame = stack.frames[stack.depth];
-    const size_t p = static_cast<size_t>(frame.phase);
-    stack.stats->self_ns[p].fetch_add(
-        static_cast<uint64_t>(now - stack.seg_start_ns),
-        std::memory_order_relaxed);
-    stack.stats->count[p].fetch_add(1, std::memory_order_relaxed);
-    stack.stats->scope_ms[p].Record(
-        static_cast<double>(now - frame.scope_start_ns) / 1e6);
-  }
+  if (frame.phase != kNoPhase) Settle(stack, frame.phase, now);
   stack.seg_start_ns = now;
+  frame.phase = static_cast<uint8_t>(phase);
+  frame.owns_phase = true;
+  frame.phase_start_ns = now;
 }
 
-}  // namespace internal
+void Probe::OpenSpanSlow(SpanKind kind, TxnId txn, SiteId site,
+                         uint64_t target, uint64_t fallback_parent) {
+  TraceRecorder& trace = GlobalTrace();
+  const uint64_t parent = CurrentSpan();
+  kind_ = kind;
+  txn_ = txn;
+  site_ = site;
+  span_ = trace.NextSpanId();
+  trace.Record(TraceEvent::SpanBeginEvent(
+      kind, span_, parent != 0 ? parent : fallback_parent, txn, site, target));
+  if ((gate_ & internal::kTraceGateProfile) != 0) {
+    t_probe_stack.frames[t_probe_stack.depth - 1].span = span_;  // own frame
+  } else {
+    PushFrame(span_);
+  }
+}
+
+void Probe::Close() {
+  if (span_ != 0) {
+    GlobalTrace().Record(TraceEvent::SpanEndEvent(kind_, span_, txn_, site_));
+  }
+  PopFrame();
+}
 
 // -- ProfiledMutex -----------------------------------------------------------
 

@@ -1,13 +1,16 @@
 #ifndef ESR_OBS_PROFILE_H_
 #define ESR_OBS_PROFILE_H_
 
-// Wall-clock observability for the real-thread path (threaded_server):
+// Wall-clock observability for real threads (threaded_server, the
+// session pool, perfbench's traced pass):
 //
-//  * ScopedPhaseTimer — per-phase cost attribution with self-time
-//    nesting: a thread-local stack of open phases where opening a child
-//    settles the elapsed segment into the parent's *self* time, so phase
-//    self-times sum to exactly the covered wall-clock with no double
-//    counting, while each phase also keeps a full-scope duration
+//  * Probe — one probe, one gate word, one stack: each engine scope opens
+//    its wall-clock phase and its causal span through one object, from
+//    one read of the probe gate word (obs/trace.h), as one frame on one
+//    thread-local stack. Phases nest by the self-time rule: opening a
+//    child settles the elapsed segment into the parent's *self* time, so
+//    phase self-times sum to exactly the covered wall-clock with no
+//    double counting, while each phase also keeps a full-scope duration
 //    histogram (p50–p999).
 //  * ContentionSite / ProfiledMutex — per-site wait-time histograms,
 //    acquisition counters, and blocked-by attribution (the holder's
@@ -15,14 +18,15 @@
 //    table's logical conflicts, and the hierarchy accumulator's charge
 //    path.
 //
-// Clock domain: always the steady wall clock (ProfileNowNs), never the
-// simulator's virtual time — the profiler answers "where do the real
-// threads spend real time", the trace recorder's pluggable time source
-// answers "when did this happen in the run's timeline" (DESIGN.md §7).
+// Clock domains: phases always use the steady wall clock (ProfileNowNs),
+// never the simulator's virtual time — the profiler answers "where do
+// the real threads spend real time"; spans use the trace recorder's
+// pluggable time source, which answers "when did this happen in the
+// run's timeline" (DESIGN.md §7).
 //
-// Cost model mirrors the trace layer: every probe fast-path is one
-// inline relaxed load of a constant-initialized flag plus a branch, and
-// a build with ESR_DISABLE_TRACING compiles the probes out entirely
+// Cost model: every probe fast-path is one inline relaxed load of the
+// constant-initialized gate word plus a branch, and a build with
+// ESR_DISABLE_TRACING compiles the probes out entirely
 // (GlobalProfilerEnabled() folds to false). The cold reporting code
 // (snapshots, JSON writer) stays linkable in every build.
 
@@ -68,21 +72,11 @@ inline constexpr size_t kNumProfilePhases = 6;
 
 const char* ProfilePhaseToString(ProfilePhase phase);
 
-namespace internal {
-/// Mirror of the global profiler's enabled flag, constant-initialized so
-/// probes inlined anywhere read a well-defined `false` (same pattern as
-/// g_global_trace_gate).
-extern std::atomic<bool> g_global_profiler_enabled;
-}  // namespace internal
-
-/// Probe-site fast path: one inline relaxed load; constant false (so the
-/// whole probe folds away) under ESR_DISABLE_TRACING.
+/// Is the global profiler on? Its bit lives in the probe gate word, so
+/// this is one inline relaxed load; constant false (so the whole probe
+/// folds away) under ESR_DISABLE_TRACING.
 inline bool GlobalProfilerEnabled() {
-#ifdef ESR_TRACE_DISABLED
-  return false;
-#else
-  return internal::g_global_profiler_enabled.load(std::memory_order_relaxed);
-#endif
+  return (GlobalTraceGate() & internal::kTraceGateProfile) != 0;
 }
 
 /// The profiler's clock: steady wall-clock nanoseconds.
@@ -203,27 +197,26 @@ struct PhaseThreadStats {
 }  // namespace internal
 
 /// Process-wide wall-clock profiler: owns the per-thread phase slots and
-/// the named contention sites. Disabled by default; the threaded server
-/// enables it around the level of interest (enabling costs each probe
-/// one relaxed load either way).
+/// the named contention sites. Disabled by default; set_enabled on the
+/// global profiler opens or closes its bit in the probe gate word.
 class Profiler {
  public:
   Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool enabled);
 
   /// Finds or creates the named contention site; the pointer stays valid
   /// for the profiler's lifetime (call sites cache it).
   ContentionSite* site(const std::string& name);
 
-  /// This thread's phase slot, registering it on first use.
-  internal::PhaseThreadStats* ThreadStats();
+  /// Registers a phase slot for the calling thread; its probe stack
+  /// keeps the pointer.
+  internal::PhaseThreadStats* RegisterThread();
 
   /// Full snapshot including the per-thread scope histograms. Quiescent
-  /// only: no ScopedPhaseTimer may be live (Histogram is not
+  /// only: no phase Probe may be live (Histogram is not
   /// thread-safe) — the same end-of-run contract as TraceRecorder
   /// snapshots and Histogram::Merge.
   ProfileSnapshot Snapshot() const;
@@ -242,7 +235,6 @@ class Profiler {
   void Reset();
 
  private:
-  std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<internal::PhaseThreadStats>> threads_;
   std::vector<std::unique_ptr<ContentionSite>> sites_;
@@ -251,40 +243,92 @@ class Profiler {
 /// The process-wide profiler all probes feed.
 Profiler& GlobalProfiler();
 
-#ifndef ESR_TRACE_DISABLED
-namespace internal {
-void OpenPhaseSlow(ProfilePhase phase);
-void ClosePhaseSlow();
-}  // namespace internal
-#endif
+/// The deepest nesting of probes and ScopedSpanParent frames one thread
+/// may hold open; one more is a fatal error.
+inline constexpr int kMaxProbeDepth = 32;
 
-/// RAII phase scope with self-time nesting (see ProfilePhase). Opening a
-/// nested phase suspends the parent's self-time accumulation; closing
-/// resumes it. Scopes are thread-local and must nest (RAII enforces it).
-class ScopedPhaseTimer {
+/// One probe per engine scope: it opens the scope's phase (when the
+/// profiler is on) and its span (when capture is on) from one read of the
+/// gate word, as one frame on the thread's probe stack. A span's parent
+/// is the thread's current span, else `fallback_parent`. A phase probe
+/// may open its span later, with OpenSpan (the op span under a latch
+/// whose wait the phase covers); both close at scope exit, span first.
+class Probe {
  public:
 #ifndef ESR_TRACE_DISABLED
-  explicit ScopedPhaseTimer(ProfilePhase phase) {
-    if (GlobalProfilerEnabled()) {
-      open_ = true;
-      internal::OpenPhaseSlow(phase);
+  /// Opens `phase`; OpenSpan may add this probe's span.
+  explicit Probe(ProfilePhase phase)
+      : gate_(GlobalTraceGate() &
+              (internal::kTraceGateCapture | internal::kTraceGateProfile)) {
+    if ((gate_ & internal::kTraceGateProfile) != 0) OpenPhase(phase);
+  }
+  /// Opens a span and no phase.
+  Probe(SpanKind kind, TxnId txn, SiteId site, uint64_t target = 0,
+        uint64_t fallback_parent = 0)
+      : gate_(GlobalTraceGate() & internal::kTraceGateCapture) {
+    if (gate_ != 0) OpenSpanSlow(kind, txn, site, target, fallback_parent);
+  }
+  ~Probe() {
+    if ((gate_ & internal::kTraceGateProfile) != 0 || span_ != 0) Close();
+  }
+  /// Opens this probe's span if capture was on at construction. Call at
+  /// most once, with no inner probe open.
+  void OpenSpan(SpanKind kind, TxnId txn, SiteId site, uint64_t target = 0,
+                uint64_t fallback_parent = 0) {
+    if ((gate_ & internal::kTraceGateCapture) != 0) {
+      OpenSpanSlow(kind, txn, site, target, fallback_parent);
     }
   }
-  ~ScopedPhaseTimer() {
-    if (open_) internal::ClosePhaseSlow();
-  }
 #else
-  explicit ScopedPhaseTimer(ProfilePhase) {}
-  ~ScopedPhaseTimer() = default;
+  explicit Probe(ProfilePhase) {}
+  Probe(SpanKind, TxnId, SiteId, uint64_t = 0, uint64_t = 0) {}
+  void OpenSpan(SpanKind, TxnId, SiteId, uint64_t = 0, uint64_t = 0) {}
 #endif
 
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+
+  /// This probe's span id; 0 while none is open.
+  uint64_t span() const { return span_; }
 
  private:
 #ifndef ESR_TRACE_DISABLED
-  bool open_ = false;
+  void OpenPhase(ProfilePhase phase);
+  void OpenSpanSlow(SpanKind kind, TxnId txn, SiteId site, uint64_t target,
+                    uint64_t fallback_parent);
+  void Close();
+
+  /// The capture and profiler bits the gate held at construction; with
+  /// `span_`, they say whether this probe holds a stack frame.
+  TraceKindSet gate_;
+  SpanKind kind_ = SpanKind::kOp;
+  SiteId site_ = 0;
+  TxnId txn_ = 0;
 #endif
+  uint64_t span_ = 0;
+};
+
+/// Re-establishes an externally-owned span (e.g. the sim client's open
+/// RPC span) as the thread's current span for a scope — a phase-less
+/// frame on the probe stack — so probes opened inside (the engine's op
+/// span) parent to it.
+class ScopedSpanParent {
+ public:
+  explicit ScopedSpanParent(uint64_t span) : active_(span != 0) {
+    if (active_) Push(span);
+  }
+  ~ScopedSpanParent() {
+    if (active_) Pop();
+  }
+
+  ScopedSpanParent(const ScopedSpanParent&) = delete;
+  ScopedSpanParent& operator=(const ScopedSpanParent&) = delete;
+
+ private:
+  static void Push(uint64_t span);
+  static void Pop();
+
+  bool active_;
 };
 
 /// Drop-in SpinMutex wrapper (BasicLockable, so std::lock_guard works)

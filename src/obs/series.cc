@@ -78,48 +78,6 @@ void WriteSeriesCsv(const RunSeries& series, std::ostream& out) {
   }
 }
 
-void WriteSeriesJson(const RunSeries& series, std::ostream& out) {
-  JsonWriter w(out);
-  w.BeginObject();
-  w.Key("series");
-  w.BeginObject();
-  w.KV("source", series.source);
-  w.KV("window_s", series.window_s);
-  w.Key("nodes");
-  w.BeginArray();
-  for (const std::string& name : series.node_names) w.Value(name);
-  w.EndArray();
-  w.Key("windows");
-  w.BeginArray();
-  for (const SeriesWindow& win : series.windows) {
-    w.BeginObject();
-    w.KV("start_s", win.start_s);
-    w.KV("duration_s", win.duration_s);
-    w.KV("committed", win.committed);
-    w.KV("aborted", win.aborted);
-    w.KV("restarts", win.restarts);
-    w.KV("active_mpl", win.active_mpl);
-    w.KV("mean_op_latency_ms", win.mean_op_latency_ms);
-    w.KV("certified_through_s", win.certified_through_s);
-    w.Key("nodes");
-    w.BeginArray();
-    for (const SeriesNodeWindow& node : win.nodes) {
-      w.BeginObject();
-      w.KV("max_accumulated", node.max_accumulated);
-      w.KV("min_headroom_frac", node.min_headroom_frac);
-      w.KV("limit_at_min", node.limit_at_min);
-      w.KV("charges", node.charges);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  w.EndObject();
-  out << "\n";
-}
-
 Status ExportSeriesCsvToFile(const RunSeries& series,
                              const std::string& path) {
   std::ofstream out(path);

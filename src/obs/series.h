@@ -84,11 +84,6 @@ struct RunSeries {
 /// (certified_through_s reads as -1 / off).
 void WriteSeriesCsv(const RunSeries& series, std::ostream& out);
 
-/// JSON mirror of the CSV (same field names), nested:
-///   {"series": {"source", "window_s", "nodes": [...],
-///               "windows": [{..., "nodes": [{...}]}]}}
-void WriteSeriesJson(const RunSeries& series, std::ostream& out);
-
 Status ExportSeriesCsvToFile(const RunSeries& series,
                              const std::string& path);
 

@@ -85,7 +85,14 @@ void TraceRecorder::PublishGate() {
             (observer_kinds_.load(std::memory_order_relaxed) &
              internal::kTraceGateKinds);
   }
+  if (profiling_) bits |= internal::kTraceGateProfile;
   gate_->store(bits, std::memory_order_relaxed);
+}
+
+void TraceRecorder::set_profiling(bool profiling) {
+  std::lock_guard<std::mutex> lock(control_mu_);
+  profiling_ = profiling;
+  PublishGate();
 }
 
 int64_t TraceRecorder::NowMicros() const {
@@ -333,22 +340,6 @@ TraceRecorder& GlobalTrace() {
   return *recorder;
 }
 
-// -- Thread-local span context --------------------------------------------
-
-namespace {
-thread_local std::vector<uint64_t> t_span_stack;
-}  // namespace
-
-uint64_t CurrentSpan() {
-  return t_span_stack.empty() ? 0 : t_span_stack.back();
-}
-
-void PushSpan(uint64_t span) { t_span_stack.push_back(span); }
-
-void PopSpan() {
-  if (!t_span_stack.empty()) t_span_stack.pop_back();
-}
-
 #ifndef ESR_TRACE_DISABLED
 
 namespace internal {
@@ -369,25 +360,6 @@ void EndSpanSlow(SpanKind kind, uint64_t span, TxnId txn, SiteId site) {
 }
 
 }  // namespace internal
-
-void TraceSpan::Open(SpanKind kind, TxnId txn, SiteId site, uint64_t target,
-                     uint64_t fallback_parent) {
-  kind_ = kind;
-  txn_ = txn;
-  site_ = site;
-  TraceRecorder& trace = GlobalTrace();
-  uint64_t parent = CurrentSpan();
-  if (parent == 0) parent = fallback_parent;
-  id_ = trace.NextSpanId();
-  trace.Record(
-      TraceEvent::SpanBeginEvent(kind, id_, parent, txn, site, target));
-  PushSpan(id_);
-}
-
-void TraceSpan::Close() {
-  PopSpan();
-  GlobalTrace().Record(TraceEvent::SpanEndEvent(kind_, id_, txn_, site_));
-}
 
 #endif  // !ESR_TRACE_DISABLED
 

@@ -1,6 +1,14 @@
 #ifndef ESR_OBS_TRACE_H_
 #define ESR_OBS_TRACE_H_
 
+// Causal trace layer: events in a lock-free ring, exported as Chrome
+// trace JSON, with one synchronous observer (the streaming certifier).
+// One probe, one gate word, one stack: every probe reads the gate word
+// below once, and a scope's span and phase open through one Probe
+// (obs/profile.h) as one frame of one thread-local stack. Spans take the
+// recorder's time source (virtual time in the simulator), phases the
+// steady clock.
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -299,14 +307,15 @@ inline TraceEvent TraceEvent::Violation(TxnId txn, SiteId site, uint16_t level,
 /// `ESR_TRACE_EVENT` macro, which checks the global probe gate (one
 /// relaxed atomic load) for the event's kind first, so a disabled
 /// recorder — or a kind no consumer wants — costs a predictable branch.
-/// The gate opens for either of two consumers:
+/// The gate's event bits open for either of two consumers:
 ///   - capture (`set_enabled(true)`): every event is stamped and stored in
 ///     the ring, and spans open;
 ///   - an observer (SetObserver): only the kinds it subscribed to are
 ///     stamped and delivered. With capture off nothing else is stamped,
 ///     nothing is stored and no span opens — certification pays only for
 ///     the few kinds it reads.
-/// The observer sees the same kind-filtered stream either way.
+/// The observer sees the same kind-filtered stream either way. The
+/// global profiler's bit shares the word but opens no event.
 ///
 /// A standalone recorder (anything but GlobalTrace()) is fed only by
 /// direct Record calls and stores each of them whatever `enabled()` says.
@@ -395,9 +404,12 @@ class TraceRecorder {
   explicit TraceRecorder(std::atomic<TraceKindSet>* gate);
 
   int64_t NowMicros() const;
-  /// Stores the probe-gate bits for the current capture/observer state;
-  /// requires control_mu_ held.
+  /// Stores the probe-gate bits for the current capture/observer/profiler
+  /// state; requires control_mu_ held.
   void PublishGate();
+  /// Profiler::set_enabled on the global profiler publishes its bit here.
+  friend class Profiler;
+  void set_profiling(bool profiling);
 
   const size_t capacity_;
   std::atomic<bool> enabled_{false};
@@ -406,9 +418,10 @@ class TraceRecorder {
   /// capture and observer bits), so a closed probe costs one relaxed
   /// load and a branch — no call, no static-init guard.
   std::atomic<TraceKindSet>* const gate_ = nullptr;
-  /// Serializes set_enabled/SetObserver so the gate word always reflects
-  /// the latest of both.
+  /// Serializes set_enabled/SetObserver/set_profiling so the gate word
+  /// always reflects the latest of all three.
   std::mutex control_mu_;
+  bool profiling_ = false;
   std::atomic<uint64_t> next_{0};
   std::atomic<uint64_t> next_span_id_{1};
   std::atomic<TimeSourceFn> time_fn_{nullptr};
@@ -451,15 +464,17 @@ uint32_t ThreadLaneId();
 TraceRecorder& GlobalTrace();
 
 namespace internal {
-/// The global recorder's probe-gate word (kept in sync by set_enabled
-/// and SetObserver): the union of the event kinds some consumer wants —
-/// every kind while capturing, the subscribed kinds for an observer —
-/// plus one bit each for capture on and observer subscribed.
+/// The global recorder's probe-gate word (kept in sync by set_enabled,
+/// SetObserver and the global profiler's set_enabled): the union of the
+/// event kinds some consumer wants — every kind while capturing, the
+/// subscribed kinds for an observer — plus one bit each for capture on,
+/// observer subscribed and profiler on.
 inline constexpr TraceKindSet kTraceGateKinds =
     TraceKindBit(TraceEventType::kViolation) * 2 - 1;
+inline constexpr TraceKindSet kTraceGateProfile = TraceKindSet{1} << 29;
 inline constexpr TraceKindSet kTraceGateObserve = TraceKindSet{1} << 30;
 inline constexpr TraceKindSet kTraceGateCapture = TraceKindSet{1} << 31;
-static_assert((kTraceGateKinds & kTraceGateObserve) == 0,
+static_assert((kTraceGateKinds & kTraceGateProfile) == 0,
               "event kinds overlap the gate's state bits");
 /// Constant-initialized so probes inlined into static initializers read
 /// a well-defined closed gate.
@@ -475,12 +490,6 @@ inline TraceKindSet GlobalTraceGate() {
 #endif
 }
 
-/// Probe-site fast path: is the process-wide probe gate open (capture on,
-/// or an observer subscribed)? One inline relaxed load — the engines call
-/// this on every operation, so it must not involve a function call or a
-/// local-static guard.
-inline bool GlobalTraceEnabled() { return GlobalTraceGate() != 0; }
-
 /// Does some consumer of the global recorder want events of `type`?
 /// Capture wants every kind; an observer alone wants the kinds it
 /// subscribed to.
@@ -494,17 +503,13 @@ inline bool GlobalTraceCapturing() {
   return (GlobalTraceGate() & internal::kTraceGateCapture) != 0;
 }
 
-// -- Thread-local span context --------------------------------------------
-// Each thread keeps a small stack of open span ids; Record attaches the
-// top to instant events so BoundCheck/Wait/... land inside the span that
-// caused them. The single-threaded simulator shares one stack, which is
-// empty between event-queue callbacks; cross-callback spans (RPC legs)
-// are re-established with ScopedSpanParent.
-
-/// Innermost open span on this thread (0 when none).
+/// Innermost open span on this thread (0 when none): the top of the probe
+/// stack (obs/profile.h). Record attaches it to instant events so
+/// BoundCheck/Wait/... land inside the span that caused them. The
+/// single-threaded simulator shares one stack, which is empty between
+/// event-queue callbacks; cross-callback spans (RPC legs) are
+/// re-established with ScopedSpanParent.
 uint64_t CurrentSpan();
-void PushSpan(uint64_t span);
-void PopSpan();
 
 #ifndef ESR_TRACE_DISABLED
 namespace internal {
@@ -533,67 +538,6 @@ inline uint64_t BeginSpan(SpanKind, TxnId, SiteId, uint64_t = 0,
 }
 inline void EndSpan(SpanKind, uint64_t, TxnId, SiteId) {}
 #endif
-
-/// RAII span for synchronous scopes (engine operations, bound walks,
-/// threaded-server RPC attempts): opens on construction if capture is on,
-/// pushes itself as the thread's current span, and closes on
-/// scope exit. The parent is the thread's current span if one is open,
-/// else `fallback_parent` (typically the transaction span).
-class TraceSpan {
- public:
-#ifndef ESR_TRACE_DISABLED
-  TraceSpan(SpanKind kind, TxnId txn, SiteId site, uint64_t target = 0,
-            uint64_t fallback_parent = 0) {
-    if (GlobalTraceCapturing()) {
-      Open(kind, txn, site, target, fallback_parent);
-    }
-  }
-  ~TraceSpan() {
-    if (id_ != 0) Close();
-  }
-#else
-  TraceSpan(SpanKind, TxnId, SiteId, uint64_t = 0, uint64_t = 0) {}
-  ~TraceSpan() = default;
-#endif
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  uint64_t id() const { return id_; }
-
- private:
-#ifndef ESR_TRACE_DISABLED
-  void Open(SpanKind kind, TxnId txn, SiteId site, uint64_t target,
-            uint64_t fallback_parent);
-  void Close();
-#endif
-
-  uint64_t id_ = 0;
-#ifndef ESR_TRACE_DISABLED
-  SpanKind kind_ = SpanKind::kOp;
-  TxnId txn_ = 0;
-  SiteId site_ = 0;
-#endif
-};
-
-/// Re-establishes an externally-owned span (e.g. the sim client's open
-/// RPC span) as the thread's current span for a scope, so spans opened
-/// inside — the engine's op span — parent to it.
-class ScopedSpanParent {
- public:
-  explicit ScopedSpanParent(uint64_t span) : active_(span != 0) {
-    if (active_) PushSpan(span);
-  }
-  ~ScopedSpanParent() {
-    if (active_) PopSpan();
-  }
-
-  ScopedSpanParent(const ScopedSpanParent&) = delete;
-  ScopedSpanParent& operator=(const ScopedSpanParent&) = delete;
-
- private:
-  bool active_;
-};
 
 /// RAII subscription of an observer (e.g. a StreamCertifier) to the
 /// global recorder for the event kinds it reads, cleared on scope exit.
@@ -625,8 +569,9 @@ class ScopedTraceTimeSource {
 }  // namespace esr
 
 /// Probe macro: evaluates `event_expr` only when the global probe gate
-/// is open, and records it only when the gate wants the event's kind, so
-/// a kind no consumer reads costs one load and never calls Record.
+/// has a bit besides the profiler's open, and records it only when the
+/// gate wants the event's kind, so a kind no consumer reads costs one
+/// load and never calls Record.
 /// Compiles away entirely (including `event_expr`) when the build defines
 /// ESR_TRACE_DISABLED (CMake -DESR_DISABLE_TRACING).
 #ifdef ESR_TRACE_DISABLED
@@ -637,7 +582,7 @@ class ScopedTraceTimeSource {
 #define ESR_TRACE_EVENT(event_expr)                                       \
   do {                                                                    \
     const ::esr::TraceKindSet esr_trace_gate_ = ::esr::GlobalTraceGate(); \
-    if (esr_trace_gate_ != 0) {                                           \
+    if ((esr_trace_gate_ & ~::esr::internal::kTraceGateProfile) != 0) {  \
       const ::esr::TraceEvent esr_trace_event_ = (event_expr);            \
       if ((esr_trace_gate_ & ::esr::TraceKindBit(esr_trace_event_.type)) \
           != 0) {                                                         \

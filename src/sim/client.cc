@@ -1,6 +1,7 @@
 #include "sim/client.h"
 
 #include "common/logging.h"
+#include "obs/profile.h"
 #include "replication/replicated_database.h"
 
 namespace esr {

@@ -3,7 +3,7 @@
 #include <string>
 
 #include "common/logging.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 
 namespace esr {
 
@@ -25,7 +25,7 @@ TwoPLManager::TwoPLManager(ObjectStore* store, const GroupSchema* schema,
 
 TxnId TwoPLManager::Begin(TxnType type, Timestamp ts,
                           const BoundSpec& bounds) {
-  ScopedPhaseTimer phase(ProfilePhase::kValidate);
+  Probe probe(ProfilePhase::kValidate);
   std::lock_guard<ProfiledMutex> lock(mu_);
   const TxnId id = next_txn_id_++;
   auto [t, inserted] = transactions_.TryEmplace(
@@ -44,11 +44,11 @@ OpResult TwoPLManager::Write(TxnId txn, ObjectId object, Value value) {
 
 OpResult TwoPLManager::Execute(TxnId txn, ObjectId object, bool is_write,
                                Value value) {
-  ScopedPhaseTimer phase(ProfilePhase::kValidate);
+  Probe probe(ProfilePhase::kValidate);
   std::lock_guard<ProfiledMutex> lock(mu_);
   mu_.set_holder(txn);
   Transaction& t = GetActive(txn);
-  TraceSpan op_span(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
+  probe.OpenSpan(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
   return is_write ? DoWrite(t, object, value) : DoRead(t, object);
 }
 
@@ -129,7 +129,7 @@ Status TwoPLManager::Abort(TxnId txn) {
 }
 
 Status TwoPLManager::Finish(TxnId txn, AbortReason reason) {
-  ScopedPhaseTimer phase(ProfilePhase::kCommit);
+  Probe probe(ProfilePhase::kCommit);
   std::lock_guard<ProfiledMutex> lock(mu_);
   mu_.set_holder(txn);
   Transaction* t = transactions_.Find(txn);
@@ -137,8 +137,7 @@ Status TwoPLManager::Finish(TxnId txn, AbortReason reason) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
   }
-  TraceSpan commit_span(SpanKind::kCommit, txn, t->ts().site, 0,
-                        t->trace_span());
+  probe.OpenSpan(SpanKind::kCommit, txn, t->ts().site, 0, t->trace_span());
   Teardown(*t, reason);
   return Status::OK();
 }

@@ -144,7 +144,7 @@ OpResult OpKernel::CompleteWrite(Transaction& txn, ObjectId object,
                                  ObjectRecord& obj, Value value,
                                  Inconsistency d, bool relaxed) const {
   {
-    ScopedPhaseTimer apply_phase(ProfilePhase::kApply);
+    Probe apply(ProfilePhase::kApply);
     obj.ApplyWrite(txn.id(), txn.ts(), value);
   }
   txn.NotePendingWrite(object);

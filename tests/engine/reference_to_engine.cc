@@ -3,7 +3,7 @@
 #include <string>
 
 #include "common/logging.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 
 namespace esr {
 namespace testing {
@@ -42,8 +42,7 @@ OpResult ReferenceToEngine::Execute(TxnId txn, ObjectId object,
   Transaction& t = *it->second;
   OpResult r;
   {
-    TraceSpan op_span(SpanKind::kOp, txn, t.ts().site, object,
-                      t.trace_span());
+    Probe op(SpanKind::kOp, txn, t.ts().site, object, t.trace_span());
     ObjectRecord& obj = data_manager_.store().Get(object);
     r = is_write ? kernel_.Write(t, object, obj, value)
                  : kernel_.Read(t, object, obj);
@@ -67,8 +66,7 @@ Status ReferenceToEngine::Finish(TxnId txn, AbortReason reason) {
                                       " is not active");
   }
   Transaction& t = *it->second;
-  TraceSpan commit_span(SpanKind::kCommit, txn, t.ts().site, 0,
-                        t.trace_span());
+  Probe commit(SpanKind::kCommit, txn, t.ts().site, 0, t.trace_span());
   Teardown(t, reason);
   return Status::OK();
 }

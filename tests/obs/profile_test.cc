@@ -1,9 +1,11 @@
 // Wall-clock profiler (obs/profile.h): contention-site accounting and
-// blocked-by attribution, phase self-time nesting, the ProfiledMutex
-// fast/contended paths, gauge/histogram export, and the JSON writer.
+// blocked-by attribution, the ProfiledMutex fast/contended paths, a
+// disabled profiler recording nothing, gauge/histogram export, and the
+// JSON writer. The phase self-time rule
+// is part of the probe contract (probe_test.cc).
 //
 // ContentionSite and the JSON writer are probe-independent and tested in
-// every build. The probe-driven pieces (ScopedPhaseTimer, ProfiledMutex)
+// every build. The probe-driven pieces (phase Probes, ProfiledMutex)
 // route through GlobalProfiler() and fold to no-ops under
 // ESR_DISABLE_TRACING, so those tests are compiled out with them.
 
@@ -181,40 +183,11 @@ void SpinFor(std::chrono::microseconds d) {
   }
 }
 
-TEST(ScopedPhaseTimerTest, SelfTimeNestingSettlesIntoParent) {
-  ScopedGlobalProfiler guard;
-  {
-    ScopedPhaseTimer outer(ProfilePhase::kValidate);
-    SpinFor(std::chrono::microseconds(200));
-    {
-      ScopedPhaseTimer inner(ProfilePhase::kBoundWalk);
-      SpinFor(std::chrono::microseconds(200));
-    }
-    SpinFor(std::chrono::microseconds(200));
-  }
-  const ProfileSnapshot snap = GlobalProfiler().Snapshot();
-  const PhaseSnapshot& validate =
-      snap.phases[static_cast<size_t>(ProfilePhase::kValidate)];
-  const PhaseSnapshot& walk =
-      snap.phases[static_cast<size_t>(ProfilePhase::kBoundWalk)];
-  EXPECT_EQ(validate.count, 1u);
-  EXPECT_EQ(walk.count, 1u);
-  // The child's spin is excluded from the parent's self-time but included
-  // in the parent's full-scope duration.
-  EXPECT_GE(validate.self_ns, 400000u);
-  EXPECT_GE(walk.self_ns, 200000u);
-  EXPECT_LT(validate.self_ns, validate.scope_ms.max() * 1e6 + 1.0);
-  EXPECT_GE(validate.scope_ms.max(), 0.6);  // >= 600 us total scope
-  // Self-times sum to the covered wall-clock: no double counting.
-  EXPECT_LE(snap.TotalSelfNs(),
-            static_cast<uint64_t>(validate.scope_ms.max() * 1e6) + 200000u);
-}
-
 TEST(ScopedPhaseTimerTest, DisabledProfilerRecordsNothing) {
   GlobalProfiler().Reset();
   GlobalProfiler().set_enabled(false);
   {
-    ScopedPhaseTimer t(ProfilePhase::kApply);
+    Probe t(ProfilePhase::kApply);
     SpinFor(std::chrono::microseconds(50));
   }
   const ProfileSnapshot snap = GlobalProfiler().Snapshot();
@@ -303,7 +276,7 @@ TEST(ProfilerTest, SnapshotKeepsThreadLanesDistinct) {
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([] {
-      ScopedPhaseTimer t(ProfilePhase::kCommit);
+      Probe t(ProfilePhase::kCommit);
       SpinFor(std::chrono::microseconds(100));
     });
   }
@@ -326,7 +299,7 @@ TEST(ProfilerTest, SnapshotKeepsThreadLanesDistinct) {
 TEST(ProfilerTest, ExportsLiveGaugesAndPhaseHistograms) {
   ScopedGlobalProfiler guard;
   {
-    ScopedPhaseTimer t(ProfilePhase::kApply);
+    Probe t(ProfilePhase::kApply);
     SpinFor(std::chrono::microseconds(100));
   }
   GlobalProfiler().site("gauge.site")->RecordAcquisition();

@@ -1,6 +1,8 @@
-// Causal-span machinery: nesting/parenting rules, instant attachment,
-// cross-callback spans, and the validity of the exported Chrome trace
-// structure (balanced sync pairs, id-matched async pairs, flow arrows).
+// Causal-span machinery: nesting, instant attachment, span ids, and the
+// validity of the exported Chrome trace structure (balanced sync pairs,
+// id-matched async pairs, flow arrows), the fallback parent,
+// cross-callback spans, and the disabled recorder. How spans and phases
+// share one probe is the probe contract (probe_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 
 #include "common/types.h"
 #include "obs/json_value.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace esr {
@@ -36,13 +39,13 @@ TEST_F(SpanTest, NestedSpansParentAutomatically) {
   uint64_t outer_id = 0;
   uint64_t inner_id = 0;
   {
-    TraceSpan outer(SpanKind::kOp, /*txn=*/1, /*site=*/1, /*target=*/10);
-    outer_id = outer.id();
+    Probe outer(SpanKind::kOp, /*txn=*/1, /*site=*/1, /*target=*/10);
+    outer_id = outer.span();
     EXPECT_NE(outer_id, 0u);
     EXPECT_EQ(CurrentSpan(), outer_id);
     {
-      TraceSpan inner(SpanKind::kBoundWalk, 1, 1, /*target=*/3);
-      inner_id = inner.id();
+      Probe inner(SpanKind::kBoundWalk, 1, 1, /*target=*/3);
+      inner_id = inner.span();
       EXPECT_EQ(CurrentSpan(), inner_id);
     }
     EXPECT_EQ(CurrentSpan(), outer_id);
@@ -67,8 +70,8 @@ TEST_F(SpanTest, NestedSpansParentAutomatically) {
 TEST_F(SpanTest, InstantsAutoAttachToEnclosingSpan) {
   uint64_t walk_id = 0;
   {
-    TraceSpan walk(SpanKind::kBoundWalk, 2, 1, /*target=*/5);
-    walk_id = walk.id();
+    Probe walk(SpanKind::kBoundWalk, 2, 1, /*target=*/5);
+    walk_id = walk.span();
     ESR_TRACE_EVENT(TraceEvent::BoundCheck(2, 1, /*level=*/1, /*group=*/5,
                                            /*charged=*/10.0, /*limit=*/50.0,
                                            /*admitted=*/true));
@@ -90,10 +93,9 @@ TEST_F(SpanTest, InstantsAutoAttachToEnclosingSpan) {
 
 TEST_F(SpanTest, FallbackParentAppliesOnlyWhenStackIsEmpty) {
   {
-    TraceSpan orphan(SpanKind::kOp, 1, 1, /*target=*/0,
-                     /*fallback_parent=*/77);
-    TraceSpan nested(SpanKind::kBoundWalk, 1, 1, /*target=*/0,
-                     /*fallback_parent=*/88);
+    Probe orphan(SpanKind::kOp, 1, 1, /*target=*/0, /*fallback_parent=*/77);
+    Probe nested(SpanKind::kBoundWalk, 1, 1, /*target=*/0,
+                 /*fallback_parent=*/88);
   }
   const std::vector<TraceEvent> events = GlobalTrace().Snapshot();
   ASSERT_EQ(events.size(), 4u);
@@ -113,7 +115,7 @@ TEST_F(SpanTest, BeginEndSpanCrossesCallbacksWithoutTouchingTheStack) {
   {
     ScopedSpanParent reestablish(rpc);
     EXPECT_EQ(CurrentSpan(), rpc);
-    TraceSpan op(SpanKind::kOp, 3, 2, /*target=*/9);
+    Probe op(SpanKind::kOp, 3, 2, /*target=*/9);
     (void)op;
   }
   EXPECT_EQ(CurrentSpan(), 0u);
@@ -135,8 +137,8 @@ TEST_F(SpanTest, DisabledRecorderMakesSpansFree) {
   EXPECT_EQ(id, 0u);
   EndSpan(SpanKind::kRpc, id, 1, 1);
   {
-    TraceSpan span(SpanKind::kOp, 1, 1);
-    EXPECT_EQ(span.id(), 0u);
+    Probe span(SpanKind::kOp, 1, 1);
+    EXPECT_EQ(span.span(), 0u);
     EXPECT_EQ(CurrentSpan(), 0u);  // nothing pushed
   }
   EXPECT_EQ(GlobalTrace().recorded(), 0u);
@@ -157,8 +159,8 @@ TEST_F(SpanTest, SpanIdsAreUniqueAndResetRestartsThem) {
 
 TEST_F(SpanTest, ExportedSyncSpansAreBalancedAndOrdered) {
   {
-    TraceSpan rpc(SpanKind::kRpc, 4, 1, /*target=*/11);
-    TraceSpan op(SpanKind::kOp, 4, 1, /*target=*/11);
+    Probe rpc(SpanKind::kRpc, 4, 1, /*target=*/11);
+    Probe op(SpanKind::kOp, 4, 1, /*target=*/11);
   }
   std::ostringstream out;
   GlobalTrace().ExportChromeTrace(out);
@@ -197,7 +199,7 @@ TEST_F(SpanTest, TxnSpansExportAsIdMatchedAsyncPairs) {
   {
     // The engine records the txn span's end while the commit span is
     // still open — legal only because txn pairs are async ("b"/"e").
-    TraceSpan commit(SpanKind::kCommit, 5, 2, 0, txn_span);
+    Probe commit(SpanKind::kCommit, 5, 2, 0, txn_span);
     EndSpan(SpanKind::kTxn, txn_span, 5, 2);
   }
   std::ostringstream out;

@@ -20,6 +20,7 @@
 #include "common/types.h"
 #include "esr/limits.h"
 #include "obs/audit.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "obs/trace_reader.h"
 #include "sim/cluster.h"
@@ -447,7 +448,7 @@ StreamCertification ObserveOnlyThroughGlobalTrace(
     ScopedTraceObserver observer(&StreamCertifier::ObserveTrampoline,
                                  &certifier,
                                  StreamCertifier::kObservedKinds);
-    EXPECT_TRUE(GlobalTraceEnabled());
+    EXPECT_NE(GlobalTraceGate(), 0u);
     EXPECT_FALSE(GlobalTraceCapturing());
     // The gate wants exactly the subscribed kinds, so the Read/Write
     // and span noise below never reaches Record.
@@ -458,8 +459,8 @@ StreamCertification ObserveOnlyThroughGlobalTrace(
     for (const TraceEvent& e : history) {
       now = e.ts_micros;
       // Spans do not open without capture.
-      TraceSpan op(SpanKind::kOp, e.txn, e.site, /*target=*/42);
-      EXPECT_EQ(op.id(), 0u);
+      Probe op(SpanKind::kOp, e.txn, e.site, /*target=*/42);
+      EXPECT_EQ(op.span(), 0u);
       EXPECT_EQ(BeginSpan(SpanKind::kRpc, e.txn, e.site), 0u);
       ESR_TRACE_EVENT(
           TraceEvent::SpanBeginEvent(SpanKind::kOp, 9, 0, e.txn, e.site, 42));
@@ -473,7 +474,7 @@ StreamCertification ObserveOnlyThroughGlobalTrace(
     ESR_TRACE_EVENT(TraceEvent::Op(TraceEventType::kRead, 8, 2, 44));
     ESR_TRACE_EVENT(TraceEvent::SpanEndEvent(SpanKind::kTxn, 10, 8, 2));
   }
-  EXPECT_FALSE(GlobalTraceEnabled());
+  EXPECT_EQ(GlobalTraceGate(), 0u);
   // Neither the noise nor the certifier's violation marker was stored.
   EXPECT_EQ(GlobalTrace().recorded(), 0u);
   certifier.AdvanceTo(5'000'000);
