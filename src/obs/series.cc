@@ -1,12 +1,14 @@
 #include "obs/series.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/stats.h"
 #include "obs/exporter.h"
@@ -114,6 +116,42 @@ Status BadRow(size_t line_no, const std::string& why) {
                                  std::to_string(line_no) + ": " + why);
 }
 
+/// Column `i`'s name in kCsvHeader, for errors that name a field.
+std::string FieldName(size_t i) {
+  std::string_view header = kCsvHeader;
+  for (; i > 0; --i) header.remove_prefix(header.find(',') + 1);
+  return std::string(header.substr(0, header.find(',')));
+}
+
+/// Reads all of `text` as a number. An empty field, trailing bytes (a
+/// corrupted `12x` is an error, not 12) or an integer out of range
+/// fail, leaving `out` unspecified.
+bool ParseWhole(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size();
+}
+
+bool ParseWhole(const std::string& text, int64_t* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  *out = static_cast<int64_t>(v);
+  return end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+/// Parses row field `i` into `out`; false (with `*error` set) when the
+/// field is not wholly a number.
+template <typename T>
+bool ReadField(const std::vector<std::string>& f, size_t i, size_t line_no,
+               T* out, Status* error) {
+  if (ParseWhole(f[i], out)) return true;
+  *error = BadRow(line_no, "bad " + FieldName(i) + " '" + f[i] + "'");
+  return false;
+}
+
 }  // namespace
 
 Result<RunSeries> ReadSeriesCsv(std::istream& in) {
@@ -131,7 +169,11 @@ Result<RunSeries> ReadSeriesCsv(std::istream& in) {
   }
   const size_t ws = line.find("window_s=");
   if (ws != std::string::npos) {
-    series.window_s = std::strtod(line.c_str() + ws + 9, nullptr);
+    std::string value = line.substr(ws + 9);
+    while (!value.empty() && value.back() == '\r') value.pop_back();
+    if (!ParseWhole(value, &series.window_s)) {
+      return BadRow(line_no, "bad window_s '" + value + "'");
+    }
   }
 
   while (std::getline(in, line)) {
@@ -155,23 +197,26 @@ Result<RunSeries> ReadSeriesCsv(std::istream& in) {
       return BadRow(line_no, "expected 14 or 15 fields, got " +
                                  std::to_string(f.size()));
     }
-    char* end = nullptr;
-    const size_t idx = std::strtoul(f[1].c_str(), &end, 10);
-    if (end == f[1].c_str()) return BadRow(line_no, "bad window index");
+    Status error;
+    int64_t window = 0;
+    if (!ReadField(f, 1, line_no, &window, &error)) return error;
+    if (window < 0) return BadRow(line_no, "bad window '" + f[1] + "'");
+    const size_t idx = static_cast<size_t>(window);
     if (f[0] == "window") {
       if (idx != series.windows.size()) {
         return BadRow(line_no, "non-contiguous window index");
       }
       SeriesWindow w;
-      w.start_s = std::strtod(f[2].c_str(), nullptr);
-      w.duration_s = std::strtod(f[3].c_str(), nullptr);
-      w.committed = std::strtoll(f[4].c_str(), nullptr, 10);
-      w.aborted = std::strtoll(f[5].c_str(), nullptr, 10);
-      w.restarts = std::strtoll(f[6].c_str(), nullptr, 10);
-      w.active_mpl = std::strtod(f[7].c_str(), nullptr);
-      w.mean_op_latency_ms = std::strtod(f[8].c_str(), nullptr);
-      if (f.size() == 15 && !f[14].empty()) {
-        w.certified_through_s = std::strtod(f[14].c_str(), nullptr);
+      if (!ReadField(f, 2, line_no, &w.start_s, &error) ||
+          !ReadField(f, 3, line_no, &w.duration_s, &error) ||
+          !ReadField(f, 4, line_no, &w.committed, &error) ||
+          !ReadField(f, 5, line_no, &w.aborted, &error) ||
+          !ReadField(f, 6, line_no, &w.restarts, &error) ||
+          !ReadField(f, 7, line_no, &w.active_mpl, &error) ||
+          !ReadField(f, 8, line_no, &w.mean_op_latency_ms, &error) ||
+          (f.size() == 15 && !f[14].empty() &&
+           !ReadField(f, 14, line_no, &w.certified_through_s, &error))) {
+        return error;
       }
       series.windows.push_back(std::move(w));
     } else if (f[0] == "node") {
@@ -180,6 +225,13 @@ Result<RunSeries> ReadSeriesCsv(std::istream& in) {
       }
       const std::string& name = f[9];
       if (name.empty()) return BadRow(line_no, "node row without a name");
+      SeriesNodeWindow node;
+      if (!ReadField(f, 10, line_no, &node.max_accumulated, &error) ||
+          !ReadField(f, 11, line_no, &node.min_headroom_frac, &error) ||
+          !ReadField(f, 12, line_no, &node.limit_at_min, &error) ||
+          !ReadField(f, 13, line_no, &node.charges, &error)) {
+        return error;
+      }
       size_t node_idx = 0;
       while (node_idx < series.node_names.size() &&
              series.node_names[node_idx] != name) {
@@ -190,11 +242,7 @@ Result<RunSeries> ReadSeriesCsv(std::istream& in) {
       }
       SeriesWindow& w = series.windows[idx];
       if (w.nodes.size() <= node_idx) w.nodes.resize(node_idx + 1);
-      SeriesNodeWindow& node = w.nodes[node_idx];
-      node.max_accumulated = std::strtod(f[10].c_str(), nullptr);
-      node.min_headroom_frac = std::strtod(f[11].c_str(), nullptr);
-      node.limit_at_min = std::strtod(f[12].c_str(), nullptr);
-      node.charges = std::strtoll(f[13].c_str(), nullptr, 10);
+      w.nodes[node_idx] = node;
     } else {
       return BadRow(line_no, "unknown row kind '" + f[0] + "'");
     }

@@ -133,6 +133,14 @@ uint32_t ThreadLaneId() {
 }
 
 void TraceRecorder::Record(TraceEvent event) {
+  RecordStamped(event, nullptr);
+}
+
+void TraceRecorder::RecordAt(TraceEvent event, int64_t ts_micros) {
+  RecordStamped(event, &ts_micros);
+}
+
+void TraceRecorder::RecordStamped(TraceEvent event, const int64_t* ts_micros) {
   // The global recorder stores only while capturing; a standalone one
   // stores every event handed to it.
   TraceEvent* const ring = gate_ == nullptr || enabled()
@@ -146,7 +154,7 @@ void TraceRecorder::Record(TraceEvent event) {
       !t_in_observer;
   if (ring == nullptr && !deliver) return;
 
-  event.ts_micros = NowMicros();
+  event.ts_micros = ts_micros != nullptr ? *ts_micros : NowMicros();
   if (event.lane == 0) event.lane = ThreadLaneId();
   // Instants recorded inside a span inherit it, so the auditor can tie a
   // BoundCheck or Wait back to the op/walk that produced it. Span and
@@ -345,18 +353,29 @@ TraceRecorder& GlobalTrace() {
 namespace internal {
 
 uint64_t BeginSpanSlow(SpanKind kind, TxnId txn, SiteId site,
-                       uint64_t target, uint64_t parent) {
+                       uint64_t target, uint64_t parent, const int64_t* at) {
   TraceRecorder& trace = GlobalTrace();
   if (!trace.enabled()) return 0;
   const uint64_t id = trace.NextSpanId();
   if (parent == 0) parent = CurrentSpan();
-  trace.Record(
-      TraceEvent::SpanBeginEvent(kind, id, parent, txn, site, target));
+  const TraceEvent begin =
+      TraceEvent::SpanBeginEvent(kind, id, parent, txn, site, target);
+  if (at != nullptr) {
+    trace.RecordAt(begin, *at);
+  } else {
+    trace.Record(begin);
+  }
   return id;
 }
 
-void EndSpanSlow(SpanKind kind, uint64_t span, TxnId txn, SiteId site) {
-  GlobalTrace().Record(TraceEvent::SpanEndEvent(kind, span, txn, site));
+void EndSpanSlow(SpanKind kind, uint64_t span, TxnId txn, SiteId site,
+                 const int64_t* at) {
+  const TraceEvent end = TraceEvent::SpanEndEvent(kind, span, txn, site);
+  if (at != nullptr) {
+    GlobalTrace().RecordAt(end, *at);
+  } else {
+    GlobalTrace().Record(end);
+  }
 }
 
 }  // namespace internal

@@ -341,6 +341,11 @@ class TraceRecorder {
   /// to its kind. An event that would be neither stored nor delivered is
   /// dropped before stamping.
   void Record(TraceEvent event);
+  /// Record with an explicit timestamp in place of the time source's
+  /// reading: for an event that happened at a known earlier instant, such
+  /// as a simulated RPC's send or landing, recorded at the next callback
+  /// that runs for it.
+  void RecordAt(TraceEvent event, int64_t ts_micros);
 
   /// Allocates a process-unique causal span id (never 0).
   uint64_t NextSpanId() {
@@ -404,6 +409,8 @@ class TraceRecorder {
   explicit TraceRecorder(std::atomic<TraceKindSet>* gate);
 
   int64_t NowMicros() const;
+  /// Record's body; `ts_micros` nullptr stamps the time source's reading.
+  void RecordStamped(TraceEvent event, const int64_t* ts_micros);
   /// Stores the probe-gate bits for the current capture/observer/profiler
   /// state; requires control_mu_ held.
   void PublishGate();
@@ -514,8 +521,10 @@ uint64_t CurrentSpan();
 #ifndef ESR_TRACE_DISABLED
 namespace internal {
 uint64_t BeginSpanSlow(SpanKind kind, TxnId txn, SiteId site,
-                       uint64_t target, uint64_t parent);
-void EndSpanSlow(SpanKind kind, uint64_t span, TxnId txn, SiteId site);
+                       uint64_t target, uint64_t parent,
+                       const int64_t* at = nullptr);
+void EndSpanSlow(SpanKind kind, uint64_t span, TxnId txn, SiteId site,
+                 const int64_t* at = nullptr);
 }  // namespace internal
 
 /// Opens a span whose end is recorded elsewhere (possibly another
@@ -531,12 +540,31 @@ inline uint64_t BeginSpan(SpanKind kind, TxnId txn, SiteId site,
 inline void EndSpan(SpanKind kind, uint64_t span, TxnId txn, SiteId site) {
   if (span != 0) internal::EndSpanSlow(kind, span, txn, site);
 }
+/// BeginSpan/EndSpan stamped `at` rather than now: the simulated client
+/// records an RPC's begin when its request arrives and its end when the
+/// next callback after the response's landing runs, each carrying the
+/// instant it stands for (`at` <= the time source's now).
+inline uint64_t BeginSpanAt(int64_t at, SpanKind kind, TxnId txn, SiteId site,
+                            uint64_t target = 0, uint64_t parent = 0) {
+  return GlobalTraceCapturing()
+             ? internal::BeginSpanSlow(kind, txn, site, target, parent, &at)
+             : 0;
+}
+inline void EndSpanAt(int64_t at, SpanKind kind, uint64_t span, TxnId txn,
+                      SiteId site) {
+  if (span != 0) internal::EndSpanSlow(kind, span, txn, site, &at);
+}
 #else
 inline uint64_t BeginSpan(SpanKind, TxnId, SiteId, uint64_t = 0,
                           uint64_t = 0) {
   return 0;
 }
 inline void EndSpan(SpanKind, uint64_t, TxnId, SiteId) {}
+inline uint64_t BeginSpanAt(int64_t, SpanKind, TxnId, SiteId, uint64_t = 0,
+                            uint64_t = 0) {
+  return 0;
+}
+inline void EndSpanAt(int64_t, SpanKind, uint64_t, TxnId, SiteId) {}
 #endif
 
 /// RAII subscription of an observer (e.g. a StreamCertifier) to the

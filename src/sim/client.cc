@@ -6,6 +6,24 @@
 
 namespace esr {
 
+ClientStats& ClientStats::operator+=(const ClientStats& other) {
+  committed += other.committed;
+  committed_query += other.committed_query;
+  committed_update += other.committed_update;
+  aborts += other.aborts;
+  ops_executed += other.ops_executed;
+  ops_query += other.ops_query;
+  ops_update += other.ops_update;
+  inconsistent_ops += other.inconsistent_ops;
+  waits += other.waits;
+  import_total += other.import_total;
+  export_total += other.export_total;
+  txn_latency_total_us += other.txn_latency_total_us;
+  op_responses += other.op_responses;
+  op_latency_total_us += other.op_latency_total_us;
+  return *this;
+}
+
 ClientStats& ClientStats::operator-=(const ClientStats& other) {
   committed -= other.committed;
   committed_query -= other.committed_query;
@@ -37,168 +55,195 @@ SimClient::SimClient(SiteId site, Server* server, EventQueue* queue,
       ts_gen_(site) {}
 
 void SimClient::Start(SimTime start_at) {
-  queue_->ScheduleAt(start_at, [this] { SubmitNextTransaction(); });
+  queue_->ScheduleAt(start_at, [this] { SubmitTransaction(queue_->now()); });
 }
 
-void SimClient::SubmitNextTransaction() {
+void SimClient::SubmitTransaction(SimTime at) {
   generator_.Next(&script_);
-  first_submit_at_ = queue_->now();
-  BeginCurrentTransaction();
+  first_submit_at_ = at;
+  SendBegin(at);
 }
 
-void SimClient::BeginCurrentTransaction() {
+void SimClient::SendBegin(SimTime send_at) {
   // The timestamp is assigned when the transaction begins, from the
-  // site's corrected clock (Sec. 6).
-  const Timestamp ts = ts_gen_.Next(clock_.Read(queue_->now()));
+  // site's corrected clock (Sec. 6) as the BEGIN leaves.
+  begin_ts_ = ts_gen_.Next(clock_.Read(send_at));
   op_index_ = 0;
   read_results_.clear();
   attempt_inconsistency_ = 0.0;
-  // The BEGIN RPC carries only the type and the bound declaration:
-  // request leg to the server, Begin executes there, response leg back.
+  // The BEGIN RPC carries only the type and the bound declaration.
   const SimTime ctrl = latency_->SampleControlRpc(site_);
-  const SimTime request_travel = ctrl / 2;
-  const SimTime response_travel = ctrl - request_travel;
-  queue_->ScheduleAfter(request_travel, [this, ts, response_travel] {
-    ShardedEngine* const to_engine = server_->sharded_engine();
-    if (script_.type == TxnType::kUpdate &&
-        script_.update_import_limit > 0 && to_engine != nullptr) {
-      // The Sec. 1 generalization: update ETs with an import budget.
-      txn_ = to_engine->BeginUpdateWithImport(
-          ts, script_.bounds,
-          BoundSpec::TransactionOnly(script_.update_import_limit));
-    } else {
-      txn_ = server_->Begin(script_.type, ts, script_.bounds);
-    }
-    // The engine opened the transaction's lifetime span during Begin;
-    // this client's RPC spans parent to it across callbacks. Spans open
-    // only under capture, so otherwise skip the registry lookup.
-    txn_span_ = 0;
-    if (GlobalTraceCapturing()) {
-      const Transaction* t = server_->engine().Find(txn_);
-      if (t != nullptr) txn_span_ = t->trace_span();
-    }
-    queue_->ScheduleAfter(response_travel, [this] { IssueCurrentOp(); });
-  });
+  response_travel_ = ctrl - ctrl / 2;
+  queue_->ScheduleAt(send_at + ctrl / 2, [this] { BeginAtServer(); });
 }
 
-void SimClient::IssueCurrentOp() {
+void SimClient::BeginAtServer() {
+  SettleLanding();
+  ShardedEngine* const to_engine = server_->sharded_engine();
+  if (script_.type == TxnType::kUpdate && script_.update_import_limit > 0 &&
+      to_engine != nullptr) {
+    // The Sec. 1 generalization: update ETs with an import budget.
+    txn_ = to_engine->BeginUpdateWithImport(
+        begin_ts_, script_.bounds,
+        BoundSpec::TransactionOnly(script_.update_import_limit));
+  } else {
+    txn_ = server_->Begin(script_.type, begin_ts_, script_.bounds);
+  }
+  // The engine opened the transaction's lifetime span during Begin;
+  // this client's RPC spans parent to it across callbacks. Spans open
+  // only under capture, so otherwise skip the registry lookup.
+  txn_span_ = 0;
+  if (GlobalTraceCapturing()) {
+    const Transaction* t = server_->engine().Find(txn_);
+    if (t != nullptr) txn_span_ = t->trace_span();
+  }
+  // The ack carries nothing the client records: the first op leaves as
+  // it lands.
+  SendOp(queue_->now() + response_travel_);
+}
+
+void SimClient::SendOp(SimTime send_at) {
   if (op_index_ >= script_.ops.size()) {
-    IssueCommit();
+    SendCommit(send_at);
     return;
   }
-  // Client-observed RPC leg: request travel + CPU queueing + service +
-  // response travel; closed when the response lands in HandleOpResult.
-  rpc_span_ = BeginSpan(SpanKind::kRpc, txn_, site_,
-                        script_.ops[op_index_].object, txn_span_);
-  op_issued_at_ = queue_->now();
+  sent_at_ = send_at;
   const SimTime rpc = latency_->SampleOpRpc(site_);
-  const SimTime request_travel = rpc / 2;
-  const SimTime response_travel = rpc - request_travel;
-  queue_->ScheduleAfter(request_travel, [this, response_travel] {
-    // Request has arrived at the server; contend for its CPU.
-    const SimTime cpu_done = latency_->ReserveServerCpu(queue_->now());
-    queue_->ScheduleAt(cpu_done, [this, response_travel] {
-      ExecuteOpAtServer(response_travel);
-    });
-  });
+  response_travel_ = rpc - rpc / 2;
+  queue_->ScheduleAt(send_at + rpc / 2, [this] { OpArrivesAtServer(); });
 }
 
-void SimClient::ExecuteOpAtServer(SimTime response_travel) {
+void SimClient::OpArrivesAtServer() {
+  SettleLanding();
+  // Client-observed RPC leg, from the send: request travel + CPU
+  // queueing + service + response travel; it ends at the landing.
+  rpc_span_ = BeginSpanAt(sent_at_, SpanKind::kRpc, txn_, site_,
+                          script_.ops[op_index_].object, txn_span_);
+  const SimTime cpu_done = latency_->ReserveServerCpu(queue_->now());
+  queue_->ScheduleAt(cpu_done, [this] { ExecuteOpAtServer(); });
+}
+
+void SimClient::ExecuteOpAtServer() {
   const ScriptOp& op = script_.ops[op_index_];
+  OpResult result;
   {
     // Re-establish the in-flight RPC span as this callback's context so
     // the engine's op span (and the bound walk under it) parent to it.
     ScopedSpanParent rpc(rpc_span_);
     if (op.kind == ScriptOp::Kind::kRead) {
-      op_result_ = server_->Read(txn_, op.object);
+      result = server_->Read(txn_, op.object);
     } else {
-      op_result_ = server_->Write(txn_, op.object, WriteValueFor(op));
+      result = server_->Write(txn_, op.object, WriteValueFor(op));
     }
   }
-  queue_->ScheduleAfter(response_travel, [this] { HandleOpResult(); });
-}
-
-void SimClient::HandleOpResult() {
-  const OpResult& result = op_result_;
-  // Response delivered: the RPC leg is over regardless of the verdict.
-  EndSpan(SpanKind::kRpc, rpc_span_, txn_, site_);
+  // Everything below happens as of the response's landing.
+  const SimTime landed = queue_->now() + response_travel_;
+  ClientStats& delta = OpenLanding(landed, rpc_span_);
   rpc_span_ = 0;
-  ++stats_.op_responses;
-  stats_.op_latency_total_us +=
-      static_cast<int64_t>(queue_->now() - op_issued_at_);
+  delta.op_responses = 1;
+  delta.op_latency_total_us = static_cast<int64_t>(landed - sent_at_);
   switch (result.kind) {
     case OpResult::Kind::kOk: {
-      ++stats_.ops_executed;
+      delta.ops_executed = 1;
       if (script_.type == TxnType::kQuery) {
-        ++stats_.ops_query;
+        delta.ops_query = 1;
       } else {
-        ++stats_.ops_update;
+        delta.ops_update = 1;
       }
       if (result.relaxed && result.inconsistency > 0.0) {
-        ++stats_.inconsistent_ops;
+        delta.inconsistent_ops = 1;
       }
       attempt_inconsistency_ += result.inconsistency;
-      if (script_.ops[op_index_].kind == ScriptOp::Kind::kRead) {
+      if (op.kind == ScriptOp::Kind::kRead) {
         read_results_.push_back(result.value);
       }
       ++op_index_;
-      IssueCurrentOp();
+      SendOp(landed);
       return;
     }
     case OpResult::Kind::kWait: {
-      ++stats_.waits;
-      queue_->ScheduleAfter(latency_->WaitRetryDelay(),
-                            [this] { IssueCurrentOp(); });
+      delta.waits = 1;
+      SendOp(landed + latency_->WaitRetryDelay());
       return;
     }
     case OpResult::Kind::kAbort: {
       // The server already released everything; resubmit the same
       // transaction with a new timestamp after a short turnaround.
-      ++stats_.aborts;
+      delta.aborts = 1;
       txn_ = kInvalidTxnId;
       txn_span_ = 0;
-      queue_->ScheduleAfter(latency_->RestartDelay(),
-                            [this] { BeginCurrentTransaction(); });
+      SendBegin(landed + latency_->RestartDelay());
       return;
     }
   }
   ESR_LOG(kFatal) << "unreachable op result kind";
 }
 
-void SimClient::IssueCommit() {
-  const uint64_t commit_rpc =
-      BeginSpan(SpanKind::kRpc, txn_, site_, 0, txn_span_);
+void SimClient::SendCommit(SimTime send_at) {
+  sent_at_ = send_at;
   const SimTime ctrl = latency_->SampleControlRpc(site_);
-  const SimTime request_travel = ctrl / 2;
-  const SimTime response_travel = ctrl - request_travel;
-  queue_->ScheduleAfter(request_travel, [this, commit_rpc, response_travel] {
-    {
-      ScopedSpanParent rpc(commit_rpc);
-      const Status status = replication_ != nullptr
-                                ? replication_->Commit(txn_, queue_->now())
-                                : server_->Commit(txn_);
-      ESR_CHECK(status.ok()) << status.ToString();
-    }
-    queue_->ScheduleAfter(response_travel, [this, commit_rpc] {
-      // Commit acknowledgement landed: the transaction is over from the
-      // client's point of view, so stats and latency close here.
-      EndSpan(SpanKind::kRpc, commit_rpc, txn_, site_);
-      ++stats_.committed;
-      if (script_.type == TxnType::kQuery) {
-        ++stats_.committed_query;
-        stats_.import_total += attempt_inconsistency_;
-      } else {
-        ++stats_.committed_update;
-        stats_.export_total += attempt_inconsistency_;
-      }
-      const SimTime latency_us = queue_->now() - first_submit_at_;
-      stats_.txn_latency_total_us += latency_us;
-      latency_ms_.Record(static_cast<double>(latency_us) / 1000.0);
-      txn_ = kInvalidTxnId;
-      txn_span_ = 0;
-      SubmitNextTransaction();
-    });
-  });
+  response_travel_ = ctrl - ctrl / 2;
+  queue_->ScheduleAt(send_at + ctrl / 2, [this] { CommitAtServer(); });
+}
+
+void SimClient::CommitAtServer() {
+  SettleLanding();
+  const uint64_t commit_rpc =
+      BeginSpanAt(sent_at_, SpanKind::kRpc, txn_, site_, 0, txn_span_);
+  {
+    ScopedSpanParent rpc(commit_rpc);
+    const Status status = replication_ != nullptr
+                              ? replication_->Commit(txn_, queue_->now())
+                              : server_->Commit(txn_);
+    ESR_CHECK(status.ok()) << status.ToString();
+  }
+  // The acknowledgement lands at `landed`: the transaction is over from
+  // the client's point of view there, so stats and latency close as of
+  // then, and the next transaction is submitted then.
+  const SimTime landed = queue_->now() + response_travel_;
+  ClientStats& delta = OpenLanding(landed, commit_rpc);
+  delta.committed = 1;
+  if (script_.type == TxnType::kQuery) {
+    delta.committed_query = 1;
+    delta.import_total = attempt_inconsistency_;
+  } else {
+    delta.committed_update = 1;
+    delta.export_total = attempt_inconsistency_;
+  }
+  const SimTime latency_us = landed - first_submit_at_;
+  delta.txn_latency_total_us = latency_us;
+  landing_.latency_ms = static_cast<double>(latency_us) / 1000.0;
+  txn_ = kInvalidTxnId;
+  txn_span_ = 0;
+  SubmitTransaction(landed);
+}
+
+ClientStats& SimClient::OpenLanding(SimTime at, uint64_t span) {
+  landing_.at = at;
+  landing_.delta = ClientStats{};
+  landing_.latency_ms = -1.0;
+  landing_.span = span;
+  landing_.span_txn = txn_;
+  return landing_.delta;
+}
+
+void SimClient::SettleLanding() {
+  if (landing_.at == kNoLanding) return;
+  stats_ += landing_.delta;
+  if (landing_.latency_ms >= 0.0) latency_ms_.Record(landing_.latency_ms);
+  EndSpanAt(landing_.at, SpanKind::kRpc, landing_.span, landing_.span_txn,
+            site_);
+  landing_.at = kNoLanding;
+}
+
+const ClientStats& SimClient::StatsAt(SimTime now) {
+  if (landing_.at <= now) SettleLanding();
+  return stats_;
+}
+
+const Histogram& SimClient::LatencyHistogramAt(SimTime now) {
+  if (landing_.at <= now) SettleLanding();
+  return latency_ms_;
 }
 
 Value SimClient::WriteValueFor(const ScriptOp& op) const {

@@ -48,6 +48,7 @@ struct ClientStats {
   int64_t op_responses = 0;
   int64_t op_latency_total_us = 0;
 
+  ClientStats& operator+=(const ClientStats& other);
   ClientStats& operator-=(const ClientStats& other);
 };
 
@@ -56,9 +57,28 @@ struct ClientStats {
 /// retries operations told to wait, and resubmits aborted transactions
 /// with a new timestamp until they complete.
 ///
-/// Every RPC is two scheduled legs — request travel to the server, where
-/// Begin, the op (under the shared server CPU) or Commit executes, and
-/// response travel back.
+/// The client has one RPC outstanding, and when a response lands only the
+/// client acts on it: it updates its own state and sends the next
+/// request. So an op costs two scheduled events, its request's arrival at
+/// the server, which reserves the server CPU, and its execution there.
+/// BEGIN and COMMIT, which take no CPU slot, run at their arrival. The
+/// event that runs a call computes its response's landing instant
+/// L = now + response travel, acts on the verdict as of L and schedules
+/// the client's next arrival directly:
+///   - the next op arrives at L + request travel;
+///   - a wait retries the op WaitRetryDelay after L;
+///   - an abort sends the resubmission's BEGIN RestartDelay after L;
+///   - after the last op the COMMIT is sent at L;
+///   - BEGIN's ack folds into the first op's send, and the COMMIT ack's
+///     into the next transaction's BEGIN, sent at L with its timestamp
+///     read from the clock at L.
+///
+/// What a landing changes on the client — its ClientStats delta, its
+/// commit-latency sample and the end of its RPC span — is held as one
+/// pending landing. It settles when the client's next event runs, or when
+/// a reader asks at a time >= L (StatsAt, LatencyHistogramAt), so every
+/// count reads as of its landing. RPC spans carry their send and landing
+/// instants explicitly.
 class SimClient {
  public:
   /// With `replication` set, `server` is its primary and commits go
@@ -73,28 +93,48 @@ class SimClient {
   /// Schedules the first transaction submission at `start_at`.
   void Start(SimTime start_at);
 
-  const ClientStats& stats() const { return stats_; }
+  /// Counters as of virtual time `now`, which is at or after the
+  /// queue's current time: a response that has landed by `now` is
+  /// counted, one still in flight is not.
+  const ClientStats& StatsAt(SimTime now);
   SiteId site() const { return site_; }
 
-  /// Commit-latency distribution (ms) since the last reset. The cluster
-  /// resets it at the end of warm-up so the merged run-level histogram
-  /// covers exactly the measurement window (histograms, unlike the
-  /// counters above, cannot be delta-subtracted).
-  const Histogram& latency_histogram() const { return latency_ms_; }
+  /// Commit-latency distribution (ms) of the commits acknowledged by
+  /// `now` since the last reset. The cluster resets it at the end of
+  /// warm-up, after StatsAt, so the merged run-level histogram covers
+  /// exactly the measurement window (histograms, unlike the counters
+  /// above, cannot be delta-subtracted).
+  const Histogram& LatencyHistogramAt(SimTime now);
   void ResetLatencyHistogram() { latency_ms_.Reset(); }
+
+  /// Landing instant of the response still to settle, or kNoLanding.
+  SimTime pending_landing_at() const { return landing_.at; }
+  static constexpr SimTime kNoLanding = INT64_MAX;
 
  private:
   // The client is strictly synchronous (one outstanding RPC), so these
-  // steps chain through scheduled events without any reentrancy.
-  void SubmitNextTransaction();
-  void BeginCurrentTransaction();
-  void IssueCurrentOp();
-  /// Runs at the server once the request has arrived and a CPU slot is
-  /// free; sends the response back.
-  void ExecuteOpAtServer(SimTime response_travel);
-  /// The response to the op RPC has landed: acts on op_result_.
-  void HandleOpResult();
-  void IssueCommit();
+  // steps chain through scheduled events without any reentrancy. The
+  // Send* steps run as of a landing instant and schedule the request's
+  // arrival; the *AtServer steps are the events.
+  /// Draws the next transaction and sends its BEGIN at `at`.
+  void SubmitTransaction(SimTime at);
+  void SendBegin(SimTime send_at);
+  void BeginAtServer();
+  /// Sends the current op, or the COMMIT once the script is done.
+  void SendOp(SimTime send_at);
+  /// The op request has arrived: contend for the server CPU.
+  void OpArrivesAtServer();
+  /// Runs at the server once a CPU slot is free; acts on the verdict as
+  /// of the response's landing.
+  void ExecuteOpAtServer();
+  void SendCommit(SimTime send_at);
+  void CommitAtServer();
+  /// Opens the pending landing at `at` for the RPC span `span`, which
+  /// ends there; returns its zeroed stats delta to fill in.
+  ClientStats& OpenLanding(SimTime at, uint64_t span);
+  /// Folds the pending landing (if any) into stats_, the histogram and
+  /// the trace.
+  void SettleLanding();
   /// The value a write op sends, derived from this attempt's reads.
   Value WriteValueFor(const ScriptOp& op) const;
 
@@ -110,24 +150,37 @@ class SimClient {
   TxnScript script_;
   TxnId txn_ = kInvalidTxnId;
   /// Causal-span plumbing across event-queue callbacks: the server-side
-  /// transaction span (parent for this client's RPC spans) and the RPC
-  /// span currently in flight. The BEGIN control RPC itself is not
-  /// spanned — its TxnId does not exist until the server executes it.
+  /// transaction span (parent for this client's RPC spans) and the op RPC
+  /// span between its arrival and its execution. The BEGIN control RPC
+  /// itself is not spanned — its TxnId does not exist until the server
+  /// executes it.
   uint64_t txn_span_ = 0;
   uint64_t rpc_span_ = 0;
   size_t op_index_ = 0;
   std::vector<Value> read_results_;
   SimTime first_submit_at_ = 0;
-  /// Issue instant of the op RPC in flight, for per-op latency.
-  SimTime op_issued_at_ = 0;
-  /// The server's verdict on the op RPC in flight, read when its
-  /// response lands. A member rather than a capture keeps the response
-  /// event to one word (`this`); with one outstanding RPC per client it
-  /// cannot be overwritten before it is read.
-  OpResult op_result_;
+  /// The RPC in flight: its send instant (for per-op latency and the
+  /// span's begin), its response leg, and for a BEGIN the timestamp
+  /// read at the send. Members rather than captures keep every event to
+  /// one word (`this`); with one outstanding RPC per client they cannot
+  /// be overwritten before they are read.
+  SimTime sent_at_ = 0;
+  SimTime response_travel_ = 0;
+  Timestamp begin_ts_;
   /// Inconsistency imported/exported by the current attempt's OK ops;
   /// folded into stats_ only if the attempt commits.
   double attempt_inconsistency_ = 0.0;
+
+  /// The response whose effects wait for its landing instant `at`.
+  struct Landing {
+    SimTime at = kNoLanding;
+    ClientStats delta;
+    /// Commit latency sample (ms); negative for an op response.
+    double latency_ms = -1.0;
+    uint64_t span = 0;
+    TxnId span_txn = kInvalidTxnId;
+  };
+  Landing landing_;
 
   ClientStats stats_;
   Histogram latency_ms_;

@@ -176,7 +176,7 @@ Cluster::Cluster(const ClusterOptions& options)
         [this] {
           SeriesSampler::Cumulative total;
           for (const auto& client : clients_) {
-            const ClientStats& s = client->stats();
+            const ClientStats& s = client->StatsAt(queue_.now());
             total.committed += s.committed;
             total.aborted += s.aborts;
             // The synchronous client resubmits every aborted attempt.
@@ -256,7 +256,9 @@ SimResult Cluster::Run() {
   std::vector<ClientStats> at_warmup;
   at_warmup.reserve(clients_.size());
   for (const auto& client : clients_) {
-    at_warmup.push_back(client->stats());
+    // A commit acknowledged after warmup_end belongs to the measurement,
+    // even when the server committed it before.
+    at_warmup.push_back(client->StatsAt(warmup_end));
     client->ResetLatencyHistogram();
   }
   std::vector<ReplicaQueryStats> queries_at_warmup;
@@ -271,7 +273,9 @@ SimResult Cluster::Run() {
   result.mpl = options_.mpl;
   result.elapsed_s = options_.measure_s;
   for (size_t i = 0; i < clients_.size(); ++i) {
-    ClientStats delta = clients_[i]->stats();
+    // Responses still in flight at measure_end are counted in neither
+    // the stats nor the histogram.
+    ClientStats delta = clients_[i]->StatsAt(measure_end);
     delta -= at_warmup[i];
     result.committed += delta.committed;
     result.committed_query += delta.committed_query;
@@ -286,7 +290,7 @@ SimResult Cluster::Run() {
     result.export_total += delta.export_total;
     result.txn_latency_total_us +=
         static_cast<double>(delta.txn_latency_total_us);
-    result.latency_ms.Merge(clients_[i]->latency_histogram());
+    result.latency_ms.Merge(clients_[i]->LatencyHistogramAt(measure_end));
   }
   for (size_t i = 0; i < query_clients_.size(); ++i) {
     ReplicaQueryStats delta = query_clients_[i]->stats();

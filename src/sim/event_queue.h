@@ -95,9 +95,9 @@ class EventQueue {
 
  private:
   /// Inline capture budget. Covers every simulator callback (the largest,
-  /// the client's [this, Timestamp, SimTime] BEGIN leg, is 32 bytes) and
-  /// a small-buffer std::function; larger callables take the recycled
-  /// oversize path.
+  /// the series sampler's [this, window index], is 16 bytes; the client's
+  /// events capture only `this`) and a small-buffer std::function; larger
+  /// callables take the recycled oversize path.
   static constexpr size_t kInlineCallbackBytes = 64;
   /// Slots per pool chunk. Chunked storage keeps slot addresses stable
   /// while the pool grows (callables must never be memcpy'd).

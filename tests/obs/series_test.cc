@@ -136,6 +136,50 @@ TEST(SeriesCsvTest, ReaderRejectsMalformedInput) {
       << bad.status().ToString();
 }
 
+// A numeric field must parse whole: `12x` used to read as 12, and `abc`
+// or an empty field as 0, so a corrupted file was accepted.
+TEST(SeriesCsvTest, PartlyNumericFieldsAreRejectedByName) {
+  const auto read = [](const std::string& text) {
+    std::istringstream in(text);
+    return ReadSeriesCsv(in);
+  };
+  const auto expect_bad = [&read](const std::string& text,
+                                  const std::string& field) {
+    const auto bad = read(text);
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find("bad " + field + " '"),
+              std::string::npos)
+        << bad.status().ToString();
+  };
+  const std::string magic = "# esr-series v1 window_s=1\n";
+  const std::string window = "window,0,0,1,5,0,0,1,2,,,,,,\n";
+  ASSERT_TRUE(read(magic + window + "node,0,,,,,,,,root,1,0.5,10,3,\n").ok());
+
+  for (const std::string form : {"12x", "abc", ""}) {
+    SCOPED_TRACE("form '" + form + "'");
+    expect_bad("# esr-series v1 window_s=" + form + "\n" + window,
+               "window_s");
+    expect_bad(magic + "window," + form + ",0,1,5,0,0,1,2,,,,,,\n", "window");
+    expect_bad(magic + "window,0,0,1," + form + ",0,0,1,2,,,,,,\n",
+               "committed");
+    expect_bad(magic + "window,0,0,1,5,0,0,1," + form + ",,,,,,\n",
+               "mean_op_latency_ms");
+    expect_bad(magic + window + "node,0,,,,,,,,root," + form + ",0.5,10,3,\n",
+               "max_accumulated");
+    expect_bad(magic + window + "node,0,,,,,,,,root,1,0.5,10," + form + ",\n",
+               "charges");
+    if (!form.empty()) {  // an empty watermark means certification off
+      expect_bad(magic + "window,0,0,1,5,0,0,1,2,,,,,," + form + "\n",
+                 "certified_through_s");
+    }
+  }
+  // Negative and out-of-range integers are not window indices or counts.
+  expect_bad(magic + "window,-1,0,1,5,0,0,1,2,,,,,,\n", "window");
+  expect_bad(magic + "window,0,0,1,99999999999999999999,0,0,1,2,,,,,,\n",
+             "committed");
+}
+
 TEST(SeriesTest, ThroughputSeriesIsCommittedPerSecond) {
   RunSeries series;
   SeriesWindow w;
